@@ -70,8 +70,10 @@ class CampaignSpec:
             raise ValueError(f"step size p must be a positive integer, got {self.p!r}")
         if not isinstance(self.count, int) or self.count < 0:
             raise ValueError(f"count must be a non-negative integer, got {self.count!r}")
-        # n, q, seed, and policy limits are enforced by the generator config
-        GeneratorConfig(self.n, self.m_values[0], self.q, self.seed, self.feasibility_policy)
+        # n, m, q, seed, and policy limits are enforced by the generator config,
+        # for every row up front so a bad m fails before any row has run
+        for m in self.m_values:
+            GeneratorConfig(self.n, m, self.q, self.seed, self.feasibility_policy)
 
 
 def compare_one(instance: Instance, p: int) -> Outcome:

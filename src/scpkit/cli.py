@@ -21,6 +21,16 @@ _POLICIES = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scpkit",
@@ -30,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("--algo", choices=["greedy", "bigstep", "exact"], required=True)
-    solve.add_argument("--p", type=int, default=2, help="step size for bigstep (default 2)")
+    solve.add_argument("--p", type=_positive_int, default=2, help="step size for bigstep (default 2)")
     solve.add_argument("--input", required=True, help="instance file in the native format")
     solve.add_argument("--trace", action="store_true", help="print per-step details")
 
@@ -47,12 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--n", type=int, required=True)
     bench.add_argument("--q", type=float, required=True)
     bench.add_argument("--m", required=True, help="comma-separated set counts, e.g. 10,20,35")
-    bench.add_argument("--p", type=int, default=2)
+    bench.add_argument("--p", type=_positive_int, default=2)
     bench.add_argument("--count", type=int, required=True, help="instances per m value")
     bench.add_argument("--seed", type=int, required=True)
     bench.add_argument("--policy", choices=sorted(_POLICIES), default="reject")
     bench.add_argument("--format", choices=["markdown", "csv"], default="markdown")
-    bench.add_argument("--workers", type=int, default=1)
+    bench.add_argument("--workers", type=_positive_int, default=1)
 
     feasprob = sub.add_parser("feasprob", help="closed-form feasibility probability")
     feasprob.add_argument("--n", type=int, required=True)

@@ -124,11 +124,13 @@ class Instance:
 
     def union_of(self, indices: Iterable[int]) -> ElementSet:
         """Union of ``sets[i]`` over the given indices (range-checked)."""
+        sets = self.sets
+        m = len(sets)
         bits = 0
         for i in indices:
-            if not 0 <= i < self.m:
-                raise ValueError(f"set index {i} out of range 0..{self.m - 1}")
-            bits |= self.sets[i].bits
+            if not 0 <= i < m:
+                raise ValueError(f"set index {i} out of range 0..{m - 1}")
+            bits |= sets[i].bits
         return ElementSet(bits, self.n)
 
 
@@ -174,10 +176,7 @@ class SolveTrace:
 
 def is_feasible(instance: Instance) -> bool:
     """True iff the union of all sets equals the full universe."""
-    bits = 0
-    for s in instance.sets:
-        bits |= s.bits
-    return bits == (1 << instance.n) - 1
+    return instance.union_of(range(instance.m)).bits == (1 << instance.n) - 1
 
 
 def validate_cover(instance: Instance, cover: "CoverSolution | Sequence[int]") -> bool:

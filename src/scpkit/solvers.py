@@ -1,11 +1,13 @@
 """Greedy and exact solvers for unicost set cover.
 
-``classical_greedy`` adds one set per step; ``big_step_greedy`` adds the best
-k-tuple of sets per step (k = min(p, sets remaining)), which reduces to the
-classical rule at p=1.  ``exact_min_cover`` is a small-instance oracle that
-proves minimum cover size.  All three are pure functions of their arguments
-and share one tie-breaking rule (lowest index / lexicographically smallest
-index tuple), so repeated calls return identical traces.
+``big_step_greedy`` adds the best k-tuple of sets per step (k = min(p, sets
+remaining)); at p=1 that is the classical greedy rule, and
+``classical_greedy`` is exactly ``big_step_greedy(instance, 1)``, so both
+share one loop and return identical traces.  ``exact_min_cover`` is a
+small-instance oracle that proves minimum cover size.  All three are pure
+functions of their arguments and share one tie-breaking rule (lowest index /
+lexicographically smallest index tuple), so repeated calls return identical
+traces.
 """
 
 from __future__ import annotations
@@ -41,33 +43,7 @@ def classical_greedy(instance: Instance) -> tuple[CoverSolution, SolveTrace]:
     Ties go to the lowest set index.  Raises ``UncoverableError`` when the
     best marginal gain hits zero while elements remain uncovered.
     """
-    masks = [s.bits for s in instance.sets]
-    n = instance.n
-    uncovered = (1 << n) - 1
-    in_cover = [False] * len(masks)
-    chosen: list[int] = []
-    covered = 0
-    steps: list[SolveStep] = []
-    while uncovered:
-        best_gain = 0
-        best_i = -1
-        candidates = 0
-        for i, mask in enumerate(masks):
-            if in_cover[i]:
-                continue
-            candidates += 1
-            gain = (mask & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        if best_gain == 0:
-            raise UncoverableError(ElementSet(uncovered, n).elements())
-        in_cover[best_i] = True
-        chosen.append(best_i)
-        covered |= masks[best_i]
-        uncovered &= ~covered
-        steps.append(SolveStep((best_i,), best_gain, candidates))
-    return CoverSolution(tuple(chosen), ElementSet(covered, n)), SolveTrace(tuple(steps))
+    return big_step_greedy(instance, 1)
 
 
 def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTrace]:
@@ -95,6 +71,8 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     uncovered = (1 << n) - 1
     unchosen = list(range(m))  # kept in ascending order
     pair_scan: _PairScan | None = None
+    if p == 2 and _VECTOR_PAIR_MIN <= m * (m - 1) // 2 <= _VECTOR_PAIR_MAX:
+        pair_scan = _PairScan(masks, n, unchosen)
     chosen: list[int] = []
     covered = 0
     steps: list[SolveStep] = []
@@ -104,33 +82,23 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
         w_count = uncovered.bit_count()
         winner: tuple[int, ...] = ()
         gain = 0
-        if k == u:
-            winner = tuple(unchosen)
-            union = 0
-            for i in winner:
-                union |= masks[i]
-            gain = (union & uncovered).bit_count()
-            candidates = 1
-        elif k == 1:
+        if k == 1:
             candidates = u
             for i in unchosen:
                 g = (masks[i] & uncovered).bit_count()
                 if g > gain:
                     gain = g
                     winner = (i,)
+        elif k == 2 and pair_scan is not None:
+            winner, gain, candidates = pair_scan.best(uncovered)
         elif k == 2:
-            if pair_scan is None and _VECTOR_PAIR_MIN <= m * (m - 1) // 2 <= _VECTOR_PAIR_MAX:
-                pair_scan = _PairScan(masks, n, unchosen)
-            if pair_scan is not None:
-                winner, gain, candidates = pair_scan.best(uncovered)
-            else:
-                candidates = 0
-                for i, j in itertools.combinations(unchosen, 2):
-                    candidates += 1
-                    g = ((masks[i] | masks[j]) & uncovered).bit_count()
-                    if g > gain:
-                        gain = g
-                        winner = (i, j)
+            candidates = 0
+            for i, j in itertools.combinations(unchosen, 2):
+                candidates += 1
+                g = ((masks[i] | masks[j]) & uncovered).bit_count()
+                if g > gain:
+                    gain = g
+                    winner = (i, j)
         else:
             candidates = 0
             for combo in itertools.combinations(unchosen, k):
@@ -145,7 +113,7 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
         if gain == 0:
             raise UncoverableError(ElementSet(uncovered, n).elements())
         if gain == w_count and len(winner) > 1:
-            winner = _trim_to_finisher(masks, unchosen, uncovered, w_count, winner)
+            winner = _trim_to_finisher(masks, unchosen, uncovered, winner)
         for i in winner:
             unchosen.remove(i)
             chosen.append(i)
@@ -158,26 +126,19 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
 
 
 def _trim_to_finisher(
-    masks: list[int],
-    unchosen: list[int],
-    uncovered: int,
-    w_count: int,
-    winner: tuple[int, ...],
+    masks: list[int], unchosen: list[int], uncovered: int, winner: tuple[int, ...]
 ) -> tuple[int, ...]:
     # Smallest subset of the unchosen sets that covers the whole remainder,
     # searched by size below k.  Size-k covering subsets have maximal gain,
     # so the lex-first one is the already-selected winner: it is the
     # fallback, and the search cannot fail.
     k = len(winner)
-    for i in unchosen:
-        if (masks[i] & uncovered).bit_count() == w_count:
-            return (i,)
-    for r in range(2, k):
+    for r in range(1, k):
         for sub in itertools.combinations(unchosen, r):
             union = 0
             for i in sub:
                 union |= masks[i]
-            if (union & uncovered).bit_count() == w_count:
+            if union & uncovered == uncovered:
                 return sub
     return winner
 
@@ -249,12 +210,10 @@ def exact_min_cover(
         raise ValueError(f"budget_limit must be a positive integer, got {budget_limit!r}")
     n = instance.n
     full = (1 << n) - 1
-    masks = [s.bits for s in instance.sets]
-    union_all = 0
-    for s in masks:
-        union_all |= s
+    union_all = instance.union_of(range(instance.m)).bits
     if union_all != full:
         raise UncoverableError(ElementSet(full & ~union_all, n).elements())
+    masks = [s.bits for s in instance.sets]
     active = list(range(len(masks)))
     if prune_dominated:
         active = [i for i in active if not _is_dominated(masks, i)]

@@ -48,6 +48,11 @@ def test_campaign_spec_validation():
         CampaignSpec(n=10, q=0.3, m_values=(4,), p=2, count=-1, seed=1)
     with pytest.raises(ValueError):
         CampaignSpec(n=10, q=1.5, m_values=(4,), p=2, count=5, seed=1)
+    # a bad m after the first fails at construction, before any row runs
+    with pytest.raises(ValueError):
+        CampaignSpec(n=10, q=0.3, m_values=(5, 0), p=2, count=5, seed=1)
+    with pytest.raises(ValueError):
+        CampaignSpec(n=10, q=0.3, m_values=(5, -3), p=2, count=0, seed=1)
     spec = CampaignSpec(n=10, q=0.3, m_values=[4, 6], p=2, count=5, seed=1)
     assert spec.m_values == (4, 6)
 

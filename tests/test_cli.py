@@ -87,6 +87,12 @@ def test_usage_errors_exit_2(capsys):
     assert cli_main(["bench", "--n", "10"]) == 2
     capsys.readouterr()
     assert cli_main(["frobnicate"]) == 2
+    capsys.readouterr()
+    bench = ["bench", "--n", "10", "--q", "0.3", "--m", "4", "--count", "2", "--seed", "1"]
+    for flag, value in [("--workers", "0"), ("--workers", "-1"), ("--p", "0"), ("--p", "-2")]:
+        assert cli_main(bench + [flag, value]) == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+    assert cli_main(["solve", "--algo", "bigstep", "--p", "0", "--input", "x"]) == 2
 
 
 def test_help_exits_0(capsys):

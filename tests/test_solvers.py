@@ -158,8 +158,20 @@ def test_pair_scan_matches_plain_enumeration(monkeypatch):
     """The vectorized pair path and the int loop must pick identical traces."""
     from scpkit import GeneratorConfig, generate_instance
 
-    for q, m, seed in [(0.3, 26, 5), (0.5, 33, 6), (0.15, 21, 7)]:
-        config = GeneratorConfig(n=80, m=m, q=q, seed=seed)
+    # n at and around the 64-bit word boundaries of the packed masks
+    cases = [
+        (80, 0.3, 26, 5),
+        (80, 0.5, 33, 6),
+        (80, 0.15, 21, 7),
+        (63, 0.3, 20, 8),
+        (64, 0.3, 24, 9),
+        (65, 0.4, 20, 10),
+        (128, 0.3, 22, 11),
+        (129, 0.5, 18, 12),
+    ]
+    for n, q, m, seed in cases:
+        assert m * (m - 1) // 2 >= scpkit.solvers._VECTOR_PAIR_MIN
+        config = GeneratorConfig(n=n, m=m, q=q, seed=seed)
         for index in range(25):
             inst = generate_instance(config, index)
             fast = big_step_greedy(inst, 2)
@@ -169,18 +181,73 @@ def test_pair_scan_matches_plain_enumeration(monkeypatch):
             assert fast == slow
 
 
-def test_pair_scan_survives_wide_universes():
+def test_pair_scan_survives_wide_universes(monkeypatch):
     # more than two 64-bit words per mask exercises the wide accumulation path
     memberships = [list(range(i, 150, 7)) for i in range(20)]
     inst = Instance.from_memberships(150, memberships)
     fast = big_step_greedy(inst, 2)
     assert validate_cover(inst, fast[0])
-    import scpkit.solvers as solvers
-
-    old = solvers._VECTOR_PAIR_MIN
-    solvers._VECTOR_PAIR_MIN = 10**9
-    try:
-        slow = big_step_greedy(inst, 2)
-    finally:
-        solvers._VECTOR_PAIR_MIN = old
+    monkeypatch.setattr(scpkit.solvers, "_VECTOR_PAIR_MIN", 10**9)
+    slow = big_step_greedy(inst, 2)
     assert fast == slow
+
+
+def test_classical_greedy_matches_reference_on_generated_instances():
+    """classical_greedy is big_step_greedy(p=1); check the rule itself
+    against the set-based reference at the campaign's shapes."""
+    from scpkit import GeneratorConfig, generate_instance
+
+    for q in (0.3, 0.4, 0.5):
+        for m in (10, 20, 35):
+            config = GeneratorConfig(n=100, m=m, q=q, seed=17)
+            for index in range(30):
+                inst = generate_instance(config, index)
+                family = [set(s) for s in inst.sets]
+                cover, trace = classical_greedy(inst)
+                assert list(cover.chosen) == ref_greedy(100, family)
+                assert [s.candidates_evaluated for s in trace.steps] == list(
+                    range(m, m - len(trace.steps), -1)
+                )
+
+
+@pytest.mark.parametrize(
+    "memberships, steps",
+    [
+        # the last step takes both remaining sets
+        ([[0], [1], [2], [3], [4]], [((0, 1, 2), 3, 10), ((3, 4), 2, 1)]),
+        # the last step is trimmed from the remaining pair to one set
+        ([[0], [1], [2], [3, 4], [3]], [((0, 1, 3), 4, 10), ((2,), 1, 1)]),
+    ],
+)
+def test_bigstep_p3_step_with_two_sets_left(memberships, steps):
+    n = 1 + max(e for ms in memberships for e in ms)
+    inst = Instance.from_memberships(n, memberships)
+    cover, trace = big_step_greedy(inst, 3)
+    assert [(s.chosen, s.newly_covered, s.candidates_evaluated) for s in trace.steps] == steps
+    family = [set(ms) for ms in memberships]
+    assert list(cover.chosen) == ref_bigstep(n, family, 3)
+
+
+def test_bigstep_p3_runs_out_of_sets_after_two_left():
+    # two sets left at p=3 cover only part of the remainder
+    inst = Instance.from_memberships(5, [[0], [1], [2], [3], [3]])
+    with pytest.raises(UncoverableError) as err:
+        big_step_greedy(inst, 3)
+    assert err.value.elements == (4,)
+
+
+def test_bigstep_p3_matches_reference_when_two_sets_are_left():
+    from scpkit import GeneratorConfig, generate_instance
+
+    config = GeneratorConfig(n=12, m=5, q=0.35, seed=3)
+    reached = 0
+    for index in range(200):
+        inst = generate_instance(config, index)
+        cover, trace = big_step_greedy(inst, 3)
+        family = [set(s) for s in inst.sets]
+        assert list(cover.chosen) == ref_bigstep(12, family, 3)
+        left = 5 - sum(len(s.chosen) for s in trace.steps[:-1])
+        if left == 2:
+            reached += 1
+            assert trace.steps[-1].candidates_evaluated == 1
+    assert reached >= 50
