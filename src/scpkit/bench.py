@@ -91,8 +91,8 @@ def _tally_range(args: tuple) -> tuple[int, int, int]:
     """Tallies for instance indices [lo, hi) of one row.  Top-level so worker
     processes can receive it; under keep-raw an infeasible draw counts as
     equal (neither solver runs)."""
-    n, m, q, seed, policy, p, lo, hi = args
-    config = GeneratorConfig(n=n, m=m, q=q, seed=seed, feasibility_policy=policy)
+    spec, m, lo, hi = args
+    config = GeneratorConfig(spec.n, m, spec.q, spec.seed, spec.feasibility_policy)
     screen = config.feasibility_policy is FeasibilityPolicy.KEEP_RAW
     wins = losses = ties = 0
     for idx in range(lo, hi):
@@ -100,7 +100,7 @@ def _tally_range(args: tuple) -> tuple[int, int, int]:
         if screen and not is_feasible(instance):
             ties += 1
             continue
-        outcome = compare_one(instance, p)
+        outcome = compare_one(instance, spec.p)
         if outcome is Outcome.BIGSTEP_BETTER:
             wins += 1
         elif outcome is Outcome.GREEDY_BETTER:
@@ -134,10 +134,7 @@ def run_campaign(
     try:
         for m in spec.m_values:
             chunks = _index_chunks(spec.count, workers)
-            args = [
-                (spec.n, m, spec.q, spec.seed, spec.feasibility_policy, spec.p, lo, hi)
-                for lo, hi in chunks
-            ]
+            args = [(spec, m, lo, hi) for lo, hi in chunks]
             wins = losses = ties = 0
             done = 0
             try:

@@ -31,6 +31,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_int_list(text: str) -> tuple[int, ...]:
+    try:
+        values = tuple(_positive_int(tok) for tok in text.split(",") if tok)
+    except argparse.ArgumentTypeError:
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers >= 1, got {text!r}")
+    return values
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scpkit",
@@ -56,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="compare the two greedy solvers head to head")
     bench.add_argument("--n", type=int, required=True)
     bench.add_argument("--q", type=float, required=True)
-    bench.add_argument("--m", required=True, help="comma-separated set counts, e.g. 10,20,35")
+    bench.add_argument("--m", type=_positive_int_list, required=True, help="set counts, e.g. 10,20,35")
     bench.add_argument("--p", type=_positive_int, default=2)
     bench.add_argument("--count", type=int, required=True, help="instances per m value")
     bench.add_argument("--seed", type=int, required=True)
@@ -109,14 +119,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        m_values = tuple(int(tok) for tok in args.m.split(",") if tok)
-    except ValueError:
-        raise ValueError(f"--m expects comma-separated integers, got {args.m!r}") from None
     spec = CampaignSpec(
         n=args.n,
         q=args.q,
-        m_values=m_values,
+        m_values=args.m,
         p=args.p,
         count=args.count,
         seed=args.seed,

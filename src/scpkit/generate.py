@@ -4,8 +4,7 @@ Membership bits are i.i.d. Bernoulli(q): element j lands in set i with
 probability q.  Randomness comes from numpy's PCG64 seeded with
 ``SeedSequence(entropy=seed, spawn_key=(instance_index,))``, so instance k of
 a run is the same no matter which worker draws it or in what order.  Within a
-substream, candidate draw k occupies exactly the doubles [k*m*n, (k+1)*m*n),
-which keeps batched rejection sampling equivalent to one-at-a-time redraws.
+substream, candidate draw k occupies exactly the doubles [k*m*n, (k+1)*m*n).
 """
 
 from __future__ import annotations
@@ -61,38 +60,29 @@ class GeneratorConfig:
             raise ValueError(f"max_redraws must be a positive integer, got {self.max_redraws!r}")
 
 
-_REDRAW_BATCH = 16
-
-
 def generate_instance(config: GeneratorConfig, instance_index: int) -> Instance:
     """Draw instance ``instance_index`` of the stream defined by ``config``.
 
     Deterministic in (config, instance_index) alone.  Under reject-resample
-    the result is always feasible or ``ResampleLimitError`` is raised after
-    ``config.max_redraws`` rejected candidates; under keep-raw the first draw
-    is returned as-is, feasible or not.
+    the result is always feasible or ``ResampleLimitError`` is raised once the
+    first draw and ``config.max_redraws`` redraws are all rejected; under
+    keep-raw the first draw is returned as-is, feasible or not.
     """
     if not isinstance(instance_index, int) or instance_index < 0:
         raise ValueError(f"instance_index must be a non-negative integer, got {instance_index!r}")
     seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(instance_index,))
     rng = np.random.Generator(np.random.PCG64(seq))
     n, m, q = config.n, config.m, config.q
-    bits = rng.random((m, n)) < q
-    if config.feasibility_policy is FeasibilityPolicy.KEEP_RAW or _covers_universe(bits):
-        return _build(bits, n)
-    redraws = 0
-    while True:
-        batch = rng.random((_REDRAW_BATCH, m, n)) < q
-        for b in range(_REDRAW_BATCH):
-            redraws += 1
-            if redraws > config.max_redraws:
-                raise ResampleLimitError(
-                    f"feasible instance unreachable: {config.max_redraws} redraws exhausted "
-                    f"at (n={n}, m={m}, q={q}), where the analytic feasibility probability "
-                    f"is {feasibility_probability(config):.4g}"
-                )
-            if _covers_universe(batch[b]):
-                return _build(batch[b], n)
+    keep_raw = config.feasibility_policy is FeasibilityPolicy.KEEP_RAW
+    for _ in range(config.max_redraws + 1):
+        bits = rng.random((m, n)) < q
+        if keep_raw or _covers_universe(bits):
+            return _build(bits, n)
+    raise ResampleLimitError(
+        f"feasible instance unreachable: {config.max_redraws} redraws exhausted "
+        f"at (n={n}, m={m}, q={q}), where the analytic feasibility probability "
+        f"is {feasibility_probability(config):.4g}"
+    )
 
 
 def feasibility_probability(config: GeneratorConfig) -> float:

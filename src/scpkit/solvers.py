@@ -13,6 +13,7 @@ traces.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -31,9 +32,10 @@ class OracleBudgetError(RuntimeError):
 
 
 # Switch pair steps to the word-packed vectorized scan once the pair count
-# makes the direct Python loop the slower option.  Both scans enumerate the
-# same candidates in the same lexicographic order.
-_VECTOR_PAIR_MIN = 120
+# makes the direct Python loop the slower option: in n=100 campaign rows the
+# scan's per-instance setup is paid back from about m=28 (378 pairs).  Both
+# scans enumerate the same candidates in the same lexicographic order.
+_VECTOR_PAIR_MIN = 378
 _VECTOR_PAIR_MAX = 5_000_000
 
 
@@ -59,9 +61,9 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     So the final step adds no redundant sets.  Indices are appended in
     ascending order within a step.
 
-    One iteration evaluates exactly C(u, k) candidate subsets (u = number of
-    unchosen sets); each ``SolveStep`` records that count, which keeps the
-    whole run polynomial for fixed p.
+    One iteration scores all C(u, k) candidate subsets (u = number of unchosen
+    sets), which keeps the whole run polynomial for fixed p; each step's
+    ``candidates_evaluated`` is C(u, k) by construction.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"step size p must be a positive integer, got {p!r}")
@@ -72,7 +74,7 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     unchosen = list(range(m))  # kept in ascending order
     pair_scan: _PairScan | None = None
     if p == 2 and _VECTOR_PAIR_MIN <= m * (m - 1) // 2 <= _VECTOR_PAIR_MAX:
-        pair_scan = _PairScan(masks, n, unchosen)
+        pair_scan = _PairScan(masks, n)
     chosen: list[int] = []
     covered = 0
     steps: list[SolveStep] = []
@@ -80,29 +82,25 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
         u = len(unchosen)
         k = p if p < u else u
         w_count = uncovered.bit_count()
+        candidates = math.comb(u, k)
         winner: tuple[int, ...] = ()
         gain = 0
         if k == 1:
-            candidates = u
             for i in unchosen:
                 g = (masks[i] & uncovered).bit_count()
                 if g > gain:
                     gain = g
                     winner = (i,)
         elif k == 2 and pair_scan is not None:
-            winner, gain, candidates = pair_scan.best(uncovered)
+            winner, gain = pair_scan.best(uncovered)
         elif k == 2:
-            candidates = 0
             for i, j in itertools.combinations(unchosen, 2):
-                candidates += 1
                 g = ((masks[i] | masks[j]) & uncovered).bit_count()
                 if g > gain:
                     gain = g
                     winner = (i, j)
         else:
-            candidates = 0
             for combo in itertools.combinations(unchosen, k):
-                candidates += 1
                 union = 0
                 for i in combo:
                     union |= masks[i]
@@ -151,7 +149,7 @@ class _PairScan:
     and can never beat a live pair with positive gain.
     """
 
-    def __init__(self, masks: list[int], n: int, unchosen: list[int]):
+    def __init__(self, masks: list[int], n: int):
         m = len(masks)
         words = (n + 63) >> 6
         raw = b"".join(s.to_bytes(words * 8, "little") for s in masks)
@@ -162,13 +160,12 @@ class _PairScan:
             for w in range(words)
         ]
         self._nbytes = words * 8
-        self._alive_flags = np.zeros(m, dtype=bool)
-        self._alive_flags[unchosen] = True
+        self._alive_flags = np.ones(m, dtype=bool)
 
     def mark_chosen(self, i: int) -> None:
         self._alive_flags[i] = False
 
-    def best(self, uncovered: int) -> tuple[tuple[int, ...], int, int]:
+    def best(self, uncovered: int) -> tuple[tuple[int, ...], int]:
         alive = self._alive_flags[self._iu] & self._alive_flags[self._ju]
         w = np.frombuffer(uncovered.to_bytes(self._nbytes, "little"), dtype=np.uint64)
         counts = np.bitwise_count(self._unions[0] & w[0])
@@ -180,11 +177,7 @@ class _PairScan:
                 counts += np.bitwise_count(self._unions[wi] & w[wi])
         gains = np.where(alive, counts, 0)
         b = int(np.argmax(gains))
-        gain = int(gains[b])
-        candidates = int(np.count_nonzero(alive))
-        if gain == 0:
-            return (), 0, candidates
-        return (int(self._iu[b]), int(self._ju[b])), gain, candidates
+        return (int(self._iu[b]), int(self._ju[b])), int(gains[b])
 
 
 def exact_min_cover(

@@ -151,13 +151,14 @@ def test_bench_csv_format(capsys):
 
 
 def test_bench_rejects_malformed_m_list(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "bench", "--n", "40", "--q", "0.3", "--m", "6,nine", "--p", "2",
-        "--count", "10", "--seed", "7",
-    )
-    assert code == 1
-    assert "comma-separated integers" in err
+    for m_list in ("6,nine", "6,0", ","):
+        code, _, err = run_cli(
+            capsys,
+            "bench", "--n", "40", "--q", "0.3", "--m", m_list, "--p", "2",
+            "--count", "10", "--seed", "7",
+        )
+        assert code == 2
+        assert "comma-separated integers" in err
 
 
 def test_feasprob(capsys):

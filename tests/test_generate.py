@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,25 @@ def test_rejection_sampling_is_stream_transparent():
         for i in range(config.m):
             assert raw.sets[i].elements() == tuple(np.nonzero(block[0][i])[0])
     assert exercised_rejection
+
+
+def test_redraw_cap_counts_redraws_after_the_first_draw():
+    """A first feasible candidate at draw k (k redraws after the first) is
+    returned under max_redraws=k and unreachable under max_redraws=k-1."""
+    config = GeneratorConfig(n=10, m=3, q=0.4, seed=2024)
+    checked = 0
+    for index in range(40):
+        block = _raw_candidates(config, index, 400)
+        k = next(j for j in range(400) if block[j].any(axis=0).all())
+        if k < 2:
+            continue
+        with pytest.raises(ResampleLimitError):
+            generate_instance(replace(config, max_redraws=k - 1), index)
+        inst = generate_instance(replace(config, max_redraws=k), index)
+        for i in range(config.m):
+            assert inst.sets[i].elements() == tuple(np.nonzero(block[k][i])[0])
+        checked += 1
+    assert checked >= 10
 
 
 def test_q_one_gives_full_sets():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,14 @@ import scpkit.solvers
 from scpkit import Instance, UncoverableError, big_step_greedy, classical_greedy, validate_cover
 
 from helpers import families, ref_bigstep, ref_greedy, to_instance
+
+# _VECTOR_PAIR_MIN values that force every p=2 pair step onto one path
+PAIR_SCAN = 0
+PAIR_LOOP = 10**9
+
+
+def _pair_path(threshold):
+    return mock.patch.object(scpkit.solvers, "_VECTOR_PAIR_MIN", threshold)
 
 
 def test_greedy_worked_example(example1):
@@ -85,9 +94,10 @@ def test_infeasible_instance_raises_with_elements():
     with pytest.raises(UncoverableError) as err:
         classical_greedy(inst)
     assert set(err.value.elements) == {3, 4}
-    with pytest.raises(UncoverableError) as err:
-        big_step_greedy(inst, 2)
-    assert set(err.value.elements) == {3, 4}
+    for threshold in (PAIR_SCAN, PAIR_LOOP):
+        with _pair_path(threshold), pytest.raises(UncoverableError) as err:
+            big_step_greedy(inst, 2)
+        assert set(err.value.elements) == {3, 4}
 
 
 def test_all_empty_sets_is_infeasible():
@@ -108,14 +118,18 @@ def test_greedy_matches_reference(nf):
     assert validate_cover(inst, cover)
 
 
-@given(families(), st.integers(1, 3))
+@given(families(max_n=130), st.integers(1, 3))
 @settings(max_examples=200)
 def test_bigstep_matches_reference(nf, p):
+    # both pair paths, forced: at these sizes the default picks the loop
     n, family = nf
     inst = to_instance(n, family)
-    cover, _ = big_step_greedy(inst, p)
-    assert list(cover.chosen) == ref_bigstep(n, family, p)
-    assert validate_cover(inst, cover)
+    expected = ref_bigstep(n, family, p)
+    for threshold in (PAIR_SCAN, PAIR_LOOP):
+        with _pair_path(threshold):
+            cover, _ = big_step_greedy(inst, p)
+        assert list(cover.chosen) == expected
+        assert validate_cover(inst, cover)
 
 
 @given(families())
@@ -154,7 +168,7 @@ def test_solvers_are_deterministic(example1):
     assert big_step_greedy(example1, 2) == big_step_greedy(example1, 2)
 
 
-def test_pair_scan_matches_plain_enumeration(monkeypatch):
+def test_pair_scan_matches_plain_enumeration():
     """The vectorized pair path and the int loop must pick identical traces."""
     from scpkit import GeneratorConfig, generate_instance
 
@@ -170,25 +184,25 @@ def test_pair_scan_matches_plain_enumeration(monkeypatch):
         (129, 0.5, 18, 12),
     ]
     for n, q, m, seed in cases:
-        assert m * (m - 1) // 2 >= scpkit.solvers._VECTOR_PAIR_MIN
         config = GeneratorConfig(n=n, m=m, q=q, seed=seed)
         for index in range(25):
             inst = generate_instance(config, index)
-            fast = big_step_greedy(inst, 2)
-            with monkeypatch.context() as mp:
-                mp.setattr(scpkit.solvers, "_VECTOR_PAIR_MIN", 10**9)
+            with _pair_path(PAIR_SCAN):
+                fast = big_step_greedy(inst, 2)
+            with _pair_path(PAIR_LOOP):
                 slow = big_step_greedy(inst, 2)
             assert fast == slow
 
 
-def test_pair_scan_survives_wide_universes(monkeypatch):
+def test_pair_scan_survives_wide_universes():
     # more than two 64-bit words per mask exercises the wide accumulation path
     memberships = [list(range(i, 150, 7)) for i in range(20)]
     inst = Instance.from_memberships(150, memberships)
-    fast = big_step_greedy(inst, 2)
+    with _pair_path(PAIR_SCAN):
+        fast = big_step_greedy(inst, 2)
     assert validate_cover(inst, fast[0])
-    monkeypatch.setattr(scpkit.solvers, "_VECTOR_PAIR_MIN", 10**9)
-    slow = big_step_greedy(inst, 2)
+    with _pair_path(PAIR_LOOP):
+        slow = big_step_greedy(inst, 2)
     assert fast == slow
 
 
