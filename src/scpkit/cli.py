@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--q", type=float, required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--count", type=int, required=True)
+    gen.add_argument("--count", type=_positive_int, required=True)
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--policy", choices=sorted(_POLICIES), default="reject")
 

@@ -1,9 +1,9 @@
 """Instance and cover model for unicost set covering.
 
-Elements are dense integers ``0..n-1``; every set of elements is stored as a
-fixed-width bit mask (bit ``e`` set means element ``e`` is a member).  All
-types are immutable after construction, so instances and solutions can be
-shared freely between concurrent workers.
+Elements are dense integers ``0..n-1``; a set of elements is an int bit mask
+(bit ``e`` set means element ``e`` is a member).  ``Instance`` holds plain
+masks, which the solvers read; ``ElementSet`` wraps one at the API edges.  All
+types are immutable, so instances and solutions can be shared between workers.
 """
 
 from __future__ import annotations
@@ -94,43 +94,48 @@ class ElementSet:
 class Instance:
     """A set-cover instance: universe size ``n`` and an ordered set family.
 
-    Set indexing is stable and 0-based: ``sets[i]`` is the i-th subset in
-    input order for the lifetime of the instance.  Duplicate and empty sets
-    are permitted; they are distinct by index.
+    ``masks[i]`` is the i-th subset as an int bit mask, 0-based and stable for
+    the lifetime of the instance; ``sets`` gives ``ElementSet`` views of them.
+    Duplicate and empty sets are permitted; they are distinct by index.
     """
 
     n: int
-    sets: tuple[ElementSet, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", tuple(self.sets))
+        object.__setattr__(self, "masks", tuple(self.masks))
         if self.n < 1:
             raise ValueError(f"universe size must be >= 1, got {self.n}")
-        if not self.sets:
+        if not self.masks:
             raise ValueError("instance needs at least one set")
-        for i, s in enumerate(self.sets):
-            if not isinstance(s, ElementSet):
-                raise TypeError(f"sets[{i}] is not an ElementSet")
-            if s.width != self.n:
-                raise ValueError(f"sets[{i}] has width {s.width}, expected {self.n}")
+        for i, b in enumerate(self.masks):
+            if not isinstance(b, int):
+                raise TypeError(f"masks[{i}] is not an int")
+            if b < 0 or b >> self.n:
+                raise ValueError(f"masks[{i}] = {b:#x} has bits outside 0..{self.n - 1}")
 
     @classmethod
     def from_memberships(cls, n: int, memberships: Iterable[Iterable[int]]) -> "Instance":
-        return cls(n, tuple(ElementSet.from_elements(n, ms) for ms in memberships))
+        return cls(n, tuple(ElementSet.from_elements(n, ms).bits for ms in memberships))
+
+    @property
+    def sets(self) -> tuple[ElementSet, ...]:
+        """The family as ``ElementSet`` views of width ``n``, in index order."""
+        return tuple(ElementSet(b, self.n) for b in self.masks)
 
     @property
     def m(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     def union_of(self, indices: Iterable[int]) -> ElementSet:
-        """Union of ``sets[i]`` over the given indices (range-checked)."""
-        sets = self.sets
-        m = len(sets)
+        """Union of ``masks[i]`` over the given indices (range-checked)."""
+        masks = self.masks
+        m = len(masks)
         bits = 0
         for i in indices:
             if not 0 <= i < m:
                 raise ValueError(f"set index {i} out of range 0..{m - 1}")
-            bits |= sets[i].bits
+            bits |= masks[i]
         return ElementSet(bits, self.n)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import warnings
 
-from .core import ElementSet, Instance
+from .core import Instance
 
 
 class ParseError(ValueError):
@@ -48,7 +48,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"truncated set list: expected {m} set lines, found {len(body)}", last)
     if len(body) > m:
         raise ParseError("trailing content", body[m][0])
-    sets = []
+    masks = []
     for ln, toks in body:
         card = _int_token(toks[0], ln)
         if card < 0:
@@ -69,8 +69,8 @@ def parse_instance(text: str) -> Instance:
             if (bits >> e) & 1:
                 raise ParseError(f"duplicate element {e}", ln)
             bits |= 1 << e
-        sets.append(ElementSet(bits, n))
-    return Instance(n, tuple(sets))
+        masks.append(bits)
+    return Instance(n, tuple(masks))
 
 
 def _int_token(tok: str, line: int) -> int:
@@ -126,4 +126,4 @@ def parse_orlib_scp(text: str) -> Instance:
             masks[c - 1] |= 1 << r
     if pos != len(tokens):
         raise ParseError(f"trailing tokens after row sections ({len(tokens) - pos} left)")
-    return Instance(rows, tuple(ElementSet(b, rows) for b in masks))
+    return Instance(rows, tuple(masks))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ElementSet, Instance
+from .core import Instance
 
 
 class FeasibilityPolicy(str, enum.Enum):
@@ -102,8 +102,7 @@ def _build(bits: np.ndarray, n: int) -> Instance:
     packed = np.packbits(bits, axis=1, bitorder="little")
     data = packed.tobytes()
     width = packed.shape[1]
-    sets = tuple(
-        ElementSet(int.from_bytes(data[i * width : (i + 1) * width], "little"), n)
-        for i in range(bits.shape[0])
+    masks = tuple(
+        int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(bits.shape[0])
     )
-    return Instance(n, sets)
+    return Instance(n, masks)

@@ -31,12 +31,12 @@ class OracleBudgetError(RuntimeError):
     """The exact oracle hit its node budget before proving optimality."""
 
 
-# Switch pair steps to the word-packed vectorized scan once the pair count
-# makes the direct Python loop the slower option: in n=100 campaign rows the
-# scan's per-instance setup is paid back from about m=28 (378 pairs).  Both
-# scans enumerate the same candidates in the same lexicographic order.
+# The numpy pair scan repays its setup from 378 pairs (m=28) in n=100 campaign
+# rows; forced scan vs loop at q=0.3 crosses over at m=20-24 for n=64 and m=30-40
+# for n=1000, so one pair count serves every n.  The scan holds 8*words + 16
+# bytes per pair; above the cap (5M pairs at n=100) the plain loop runs.
 _VECTOR_PAIR_MIN = 378
-_VECTOR_PAIR_MAX = 5_000_000
+_PAIR_SCAN_MAX_BYTES = 160_000_000
 
 
 def classical_greedy(instance: Instance) -> tuple[CoverSolution, SolveTrace]:
@@ -67,13 +67,14 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"step size p must be a positive integer, got {p!r}")
-    masks = [s.bits for s in instance.sets]
+    masks = instance.masks
     n = instance.n
     m = len(masks)
     uncovered = (1 << n) - 1
     unchosen = list(range(m))  # kept in ascending order
     pair_scan: _PairScan | None = None
-    if p == 2 and _VECTOR_PAIR_MIN <= m * (m - 1) // 2 <= _VECTOR_PAIR_MAX:
+    pair_bytes = ((n + 63) >> 6) * 8 + 16
+    if p == 2 and _VECTOR_PAIR_MIN <= m * (m - 1) // 2 <= _PAIR_SCAN_MAX_BYTES // pair_bytes:
         pair_scan = _PairScan(masks, n)
     chosen: list[int] = []
     covered = 0
@@ -124,7 +125,7 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
 
 
 def _trim_to_finisher(
-    masks: list[int], unchosen: list[int], uncovered: int, winner: tuple[int, ...]
+    masks: tuple[int, ...], unchosen: list[int], uncovered: int, winner: tuple[int, ...]
 ) -> tuple[int, ...]:
     # Smallest subset of the unchosen sets that covers the whole remainder,
     # searched by size below k.  Size-k covering subsets have maximal gain,
@@ -149,7 +150,7 @@ class _PairScan:
     and can never beat a live pair with positive gain.
     """
 
-    def __init__(self, masks: list[int], n: int):
+    def __init__(self, masks: tuple[int, ...], n: int):
         m = len(masks)
         words = (n + 63) >> 6
         raw = b"".join(s.to_bytes(words * 8, "little") for s in masks)
@@ -206,7 +207,7 @@ def exact_min_cover(
     union_all = instance.union_of(range(instance.m)).bits
     if union_all != full:
         raise UncoverableError(ElementSet(full & ~union_all, n).elements())
-    masks = [s.bits for s in instance.sets]
+    masks = instance.masks
     active = list(range(len(masks)))
     if prune_dominated:
         active = [i for i in active if not _is_dominated(masks, i)]
@@ -261,7 +262,7 @@ def exact_min_cover(
     raise AssertionError("feasible instance must have a cover of size <= min(m, n)")
 
 
-def _is_dominated(masks: list[int], i: int) -> bool:
+def _is_dominated(masks: tuple[int, ...], i: int) -> bool:
     mi = masks[i]
     for j, mj in enumerate(masks):
         if j == i:

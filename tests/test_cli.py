@@ -79,7 +79,7 @@ def test_solve_infeasible_instance(capsys, tmp_path):
     assert "uncoverable elements" in err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert cli_main([]) == 2
     capsys.readouterr()
     assert cli_main(["solve", "--algo", "sorcery", "--input", "x"]) == 2
@@ -93,6 +93,11 @@ def test_usage_errors_exit_2(capsys):
         assert cli_main(bench + [flag, value]) == 2
         assert "must be a positive integer" in capsys.readouterr().err
     assert cli_main(["solve", "--algo", "bigstep", "--p", "0", "--input", "x"]) == 2
+    capsys.readouterr()
+    gen = ["gen", "--n", "10", "--m", "4", "--q", "0.3", "--seed", "1", "--out", str(tmp_path)]
+    for value in ("0", "-2"):
+        assert cli_main(gen + ["--count", value]) == 2
+        assert "must be a positive integer" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):

@@ -6,9 +6,14 @@ from hypothesis import given, strategies as st
 from scpkit import (
     CoverSolution,
     ElementSet,
+    GeneratorConfig,
     Instance,
     UncoverableError,
+    generate_instance,
     is_feasible,
+    parse_instance,
+    parse_orlib_scp,
+    serialize_instance,
     validate_cover,
 )
 
@@ -76,15 +81,33 @@ def test_elementset_roundtrips_elements(width, data):
 
 
 def test_instance_validation():
-    good = ElementSet.from_elements(3, [0])
-    with pytest.raises(ValueError):
-        Instance(0, (good,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="universe size"):
+        Instance(0, (0b1,))
+    with pytest.raises(ValueError, match="at least one set"):
         Instance(3, ())
-    with pytest.raises(ValueError):
-        Instance(4, (good,))  # width 3 != n 4
-    with pytest.raises(TypeError):
-        Instance(3, (good, {0, 1}))
+    with pytest.raises(ValueError, match="bits outside"):
+        Instance(3, (0b1, 1 << 3))
+    with pytest.raises(ValueError, match="bits outside"):
+        Instance(3, (0b1, -1))
+    with pytest.raises(TypeError, match=r"masks\[1\]"):
+        Instance(3, (0b1, ElementSet(0b10, 3)))
+    assert Instance(3, [0b111, 0]).masks == (0b111, 0)
+
+
+def test_every_constructor_yields_int_masks():
+    built = [
+        generate_instance(GeneratorConfig(n=70, m=6, q=0.4, seed=3), 0),
+        parse_instance("4 2\n2 0 3\n1 2\n"),
+        parse_orlib_scp("3 2\n1 1\n2 1 2\n1 1\n1 2\n"),
+        Instance.from_memberships(5, [[0, 4], []]),
+    ]
+    for inst in built:
+        assert all(type(b) is int for b in inst.masks)
+        for i in range(inst.m):
+            assert inst.sets[i] == ElementSet(inst.masks[i], inst.n)
+        again = parse_instance(serialize_instance(inst))
+        assert again == inst and hash(again) == hash(inst)
+    assert built[2].masks == (0b011, 0b101)
 
 
 def test_instance_from_memberships():

@@ -206,6 +206,26 @@ def test_pair_scan_survives_wide_universes():
     assert fast == slow
 
 
+def test_pair_scan_is_capped_by_its_bytes():
+    # Same m at n=100 (2 words per mask) and n=1000 (16 words); a cap between
+    # the two scan sizes keeps the scan for the narrow instance only.
+    from scpkit import GeneratorConfig, generate_instance
+
+    m = 30
+    pairs = m * (m - 1) // 2
+    cap = (pairs * (2 * 8 + 16) + pairs * (16 * 8 + 16)) // 2
+    for n, built in [(100, 1), (1000, 0)]:
+        inst = generate_instance(GeneratorConfig(n=n, m=m, q=0.3, seed=5), 0)
+        with (
+            _pair_path(PAIR_SCAN),
+            mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap),
+            mock.patch.object(scpkit.solvers, "_PairScan", wraps=scpkit.solvers._PairScan) as spy,
+        ):
+            cover, _ = big_step_greedy(inst, 2)
+        assert spy.call_count == built
+        assert list(cover.chosen) == ref_bigstep(n, [set(s) for s in inst.sets], 2)
+
+
 def test_classical_greedy_matches_reference_on_generated_instances():
     """classical_greedy is big_step_greedy(p=1); check the rule itself
     against the set-based reference at the campaign's shapes."""
