@@ -2,8 +2,9 @@
 
 Same protocol as the CLI `bench` subcommand: for each m, solve `count`
 random feasible instances with both algorithms and tally which one found
-the smaller cover.  20,000 instances per row takes a couple of seconds;
-crank `count` up for tighter fractions.
+the smaller cover.  A row of 20,000 instances takes about 2 s on one core
+of a 2-core VM (about 12 s for the six rows); crank `count` up for tighter
+fractions.
 """
 
 from scpkit import CampaignSpec, emit_table, run_campaign

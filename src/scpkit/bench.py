@@ -4,6 +4,11 @@ A campaign draws `count` instances per m value from the seeded generator,
 runs both solvers on each, and tallies which found the smaller cover.  Work
 is sharded by instance-index ranges and tallies merge by addition, so any
 worker count produces the identical table.
+
+Rows are solved in batches: the draws of a sub-batch are packed into one
+uint64 array and both greedy rules run on it in lockstep, in a kernel that
+returns the cover sizes of the scalar solvers.  Rows with p >= 3 (and rows
+too wide for the pair-scan cap) are solved one instance at a time.
 """
 
 from __future__ import annotations
@@ -15,9 +20,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Instance, is_feasible
-from .generate import FeasibilityPolicy, GeneratorConfig, ResampleLimitError, generate_instance
-from .solvers import big_step_greedy, classical_greedy
+from .core import Instance
+from .generate import (
+    FeasibilityPolicy,
+    GeneratorConfig,
+    ResampleLimitError,
+    _build,
+    _covers_universe,
+    _draw,
+)
+from .solvers import _batch_cover_sizes, _batch_size, _pack, big_step_greedy, classical_greedy
 
 
 class Outcome(enum.Enum):
@@ -94,20 +106,27 @@ def _tally_range(args: tuple) -> tuple[int, int, int]:
     spec, m, lo, hi = args
     config = GeneratorConfig(spec.n, m, spec.q, spec.seed, spec.feasibility_policy)
     screen = config.feasibility_policy is FeasibilityPolicy.KEEP_RAW
-    wins = losses = ties = 0
-    for idx in range(lo, hi):
-        instance = generate_instance(config, idx)
-        if screen and not is_feasible(instance):
-            ties += 1
+    batch = _batch_size(spec.n, m) if spec.p <= 2 else 0
+    step = batch or 1
+    wins = losses = 0
+    for start in range(lo, hi, step):
+        draws = [_draw(config, idx) for idx in range(start, min(start + step, hi))]
+        if screen:
+            draws = [bits for bits in draws if _covers_universe(bits)]
+        if not draws:
             continue
-        outcome = compare_one(instance, spec.p)
-        if outcome is Outcome.BIGSTEP_BETTER:
-            wins += 1
-        elif outcome is Outcome.GREEDY_BETTER:
-            losses += 1
+        if batch:
+            sets = _pack(draws, spec.n)
+            big = _batch_cover_sizes(sets, spec.n, spec.p)
+            greedy = _batch_cover_sizes(sets, spec.n, 1)
+            wins += int((big < greedy).sum())
+            losses += int((big > greedy).sum())
         else:
-            ties += 1
-    return wins, losses, ties
+            for bits in draws:
+                outcome = compare_one(_build(bits, spec.n), spec.p)
+                wins += outcome is Outcome.BIGSTEP_BETTER
+                losses += outcome is Outcome.GREEDY_BETTER
+    return wins, losses, hi - lo - wins - losses
 
 
 ProgressSink = Callable[[int, int, int], None]

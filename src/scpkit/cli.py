@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bench import CampaignSpec, emit_table, run_campaign
 from .formats import parse_instance, serialize_instance
@@ -21,14 +21,21 @@ _POLICIES = {
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _positive_int_list(text: str) -> tuple[int, ...]:
@@ -55,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace", action="store_true", help="print per-step details")
 
     gen = sub.add_parser("gen", help="write random instance files")
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=_positive_int, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--q", type=float, required=True)
     gen.add_argument("--seed", type=int, required=True)
@@ -64,18 +71,20 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--policy", choices=sorted(_POLICIES), default="reject")
 
     bench = sub.add_parser("bench", help="compare the two greedy solvers head to head")
-    bench.add_argument("--n", type=int, required=True)
+    bench.add_argument("--n", type=_positive_int, required=True)
     bench.add_argument("--q", type=float, required=True)
     bench.add_argument("--m", type=_positive_int_list, required=True, help="set counts, e.g. 10,20,35")
     bench.add_argument("--p", type=_positive_int, default=2)
-    bench.add_argument("--count", type=int, required=True, help="instances per m value")
+    bench.add_argument(
+        "--count", type=_non_negative_int, required=True, help="instances per m value"
+    )
     bench.add_argument("--seed", type=int, required=True)
     bench.add_argument("--policy", choices=sorted(_POLICIES), default="reject")
     bench.add_argument("--format", choices=["markdown", "csv"], default="markdown")
     bench.add_argument("--workers", type=_positive_int, default=1)
 
     feasprob = sub.add_parser("feasprob", help="closed-form feasibility probability")
-    feasprob.add_argument("--n", type=int, required=True)
+    feasprob.add_argument("--n", type=_positive_int, required=True)
     feasprob.add_argument("--m", type=int, required=True)
     feasprob.add_argument("--q", type=float, required=True)
     return parser

@@ -70,19 +70,7 @@ def generate_instance(config: GeneratorConfig, instance_index: int) -> Instance:
     """
     if not isinstance(instance_index, int) or instance_index < 0:
         raise ValueError(f"instance_index must be a non-negative integer, got {instance_index!r}")
-    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(instance_index,))
-    rng = np.random.Generator(np.random.PCG64(seq))
-    n, m, q = config.n, config.m, config.q
-    keep_raw = config.feasibility_policy is FeasibilityPolicy.KEEP_RAW
-    for _ in range(config.max_redraws + 1):
-        bits = rng.random((m, n)) < q
-        if keep_raw or _covers_universe(bits):
-            return _build(bits, n)
-    raise ResampleLimitError(
-        f"feasible instance unreachable: {config.max_redraws} redraws exhausted "
-        f"at (n={n}, m={m}, q={q}), where the analytic feasibility probability "
-        f"is {feasibility_probability(config):.4g}"
-    )
+    return _build(_draw(config, instance_index), config.n)
 
 
 def feasibility_probability(config: GeneratorConfig) -> float:
@@ -92,6 +80,24 @@ def feasibility_probability(config: GeneratorConfig) -> float:
     (1-q)^m, so all n elements are covered with (1 - (1-q)^m)^n.
     """
     return (1.0 - (1.0 - config.q) ** config.m) ** config.n
+
+
+def _draw(config: GeneratorConfig, instance_index: int) -> np.ndarray:
+    """The accepted draw of instance ``instance_index`` as an (m, n) bool array:
+    ``bits[i, j]`` is True when element j is in set i."""
+    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(instance_index,))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    n, m, q = config.n, config.m, config.q
+    keep_raw = config.feasibility_policy is FeasibilityPolicy.KEEP_RAW
+    for _ in range(config.max_redraws + 1):
+        bits = rng.random((m, n)) < q
+        if keep_raw or _covers_universe(bits):
+            return bits
+    raise ResampleLimitError(
+        f"feasible instance unreachable: {config.max_redraws} redraws exhausted "
+        f"at (n={n}, m={m}, q={q}), where the analytic feasibility probability "
+        f"is {feasibility_probability(config):.4g}"
+    )
 
 
 def _covers_universe(bits: np.ndarray) -> bool:

@@ -7,11 +7,13 @@ share one loop and return identical traces.  ``exact_min_cover`` is a
 small-instance oracle that proves minimum cover size.  All three are pure
 functions of their arguments and share one tie-breaking rule (lowest index /
 lexicographically smallest index tuple), so repeated calls return identical
-traces.
+traces.  Campaigns use ``_batch_cover_sizes``, which runs both greedy rules
+over a batch of packed instances and returns only their cover sizes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -33,10 +35,21 @@ class OracleBudgetError(RuntimeError):
 
 # The numpy pair scan repays its setup from 378 pairs (m=28) in n=100 campaign
 # rows; forced scan vs loop at q=0.3 crosses over at m=20-24 for n=64 and m=30-40
-# for n=1000, so one pair count serves every n.  The scan holds 8*words + 16
-# bytes per pair; above the cap (5M pairs at n=100) the plain loop runs.
+# for n=1000, so one pair count serves every n.  Campaign rows no longer reach
+# it (they go through _batch_cover_sizes), so it governs single-instance solves.
 _VECTOR_PAIR_MIN = 378
+# Peak bytes of a pair scan, pairs * _pair_bytes(words); above it the plain k=2
+# loop runs, and campaign rows fall back to solving one instance at a time.
 _PAIR_SCAN_MAX_BYTES = 160_000_000
+# Bytes one _batch_cover_sizes call may use; sets the sub-batch size.
+_BATCH_MAX_BYTES = 1_000_000
+
+
+def _pair_bytes(words: int) -> int:
+    """Peak bytes per index pair of a pair scan over masks of ``words`` 64-bit
+    words: the pair unions (8 per word), the two int64 index arrays (16) and
+    at most 16 of per-step temporaries (gathers, counts and alive flags)."""
+    return 8 * words + 32
 
 
 def classical_greedy(instance: Instance) -> tuple[CoverSolution, SolveTrace]:
@@ -73,7 +86,7 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     uncovered = (1 << n) - 1
     unchosen = list(range(m))  # kept in ascending order
     pair_scan: _PairScan | None = None
-    pair_bytes = ((n + 63) >> 6) * 8 + 16
+    pair_bytes = _pair_bytes((n + 63) >> 6)
     if p == 2 and _VECTOR_PAIR_MIN <= m * (m - 1) // 2 <= _PAIR_SCAN_MAX_BYTES // pair_bytes:
         pair_scan = _PairScan(masks, n)
     chosen: list[int] = []
@@ -156,10 +169,11 @@ class _PairScan:
         raw = b"".join(s.to_bytes(words * 8, "little") for s in masks)
         cols = np.frombuffer(raw, dtype=np.uint64).reshape(m, words)
         self._iu, self._ju = np.triu_indices(m, k=1)
-        self._unions = [
-            np.ascontiguousarray(cols[:, w][self._iu] | cols[:, w][self._ju])
-            for w in range(words)
-        ]
+        self._unions = []
+        for w in range(words):
+            union = cols[:, w][self._iu]
+            union |= cols[:, w][self._ju]
+            self._unions.append(union)
         self._nbytes = words * 8
         self._alive_flags = np.ones(m, dtype=bool)
 
@@ -179,6 +193,110 @@ class _PairScan:
         gains = np.where(alive, counts, 0)
         b = int(np.argmax(gains))
         return (int(self._iu[b]), int(self._ju[b])), int(gains[b])
+
+
+def _batch_size(n: int, m: int) -> int:
+    """Instances per ``_batch_cover_sizes`` call at shape (n, m), or 0 when one
+    instance's charge exceeds ``_PAIR_SCAN_MAX_BYTES``.
+
+    Each set and each pair of an instance is charged ``_pair_bytes``, and a
+    call gets as many instances as ``_BATCH_MAX_BYTES`` pays for, at least one.
+    """
+    per_instance = (m * (m - 1) // 2 + m) * _pair_bytes((n + 63) >> 6)
+    if per_instance > _PAIR_SCAN_MAX_BYTES:
+        return 0
+    return max(1, _BATCH_MAX_BYTES // per_instance)
+
+
+def _pack(draws: list[np.ndarray], n: int) -> np.ndarray:
+    """Bool (m, n) membership draws of one shape as the (words, N, m) uint64
+    layout of ``_batch_cover_sizes``."""
+    packed = np.zeros((len(draws), draws[0].shape[0], ((n + 63) >> 6) * 8), dtype=np.uint8)
+    for b, bits in enumerate(draws):
+        packed[b, :, : (n + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view("<u8").transpose(2, 0, 1))
+
+
+def _batch_cover_sizes(sets: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Cover sizes of ``big_step_greedy(instance, p)``, p in {1, 2}, for a batch.
+
+    ``sets`` is a (words, N, m) uint64 array: word w of set i of instance b is
+    ``sets[w, b, i]``, its bit e being element 64*w + e.  The instances run in
+    lockstep, each step adding one set (p=1) or one pair (p=2) to every
+    instance still running, and a finished instance leaves the batch.  Gains
+    are counted on the uncovered elements, and ``argmax`` over the sets, or
+    over the lexicographic pair layout, picks the lowest index or first pair:
+    the scalar solvers' tie rule.  At p=2 an instance finishes on the step
+    where one set covers its whole remainder, adding the lowest such set, as
+    the finisher trim does, or where the best pair does.
+
+    A chosen set has no uncovered element left, so it gains 0 and never beats
+    a set that gains anything.  A pair holding one gains what its other set,
+    j, gains alone, so it ties the best unchosen pair only if no unchosen set
+    reaches an uncovered element outside j: then j finishes the cover alone,
+    which the singleton check handles first, or no cover exists.  So chosen
+    sets need no mask.  Raises ``UncoverableError`` for an instance that its
+    sets cannot cover.
+    """
+    words, batch, m = sets.shape
+    uncovered = np.full((words, batch), np.uint64(2**64 - 1))
+    if n % 64:
+        uncovered[-1] = np.uint64((1 << (n % 64)) - 1)
+    sizes = np.zeros(batch, dtype=np.int64)
+    rows = np.arange(batch)  # batch position of each running instance
+    while rows.size:
+        hit = sets & uncovered[:, :, None]
+        gains = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
+        if p == 1:
+            best = gains.argmax(axis=1)
+            gain = np.take_along_axis(gains, best[:, None], axis=1)[:, 0]
+            step = (best,)
+        else:
+            left = np.bitwise_count(uncovered).sum(axis=0, dtype=np.int32)
+            single = (gains == left[:, None]).any(axis=1)
+            if single.any():
+                sizes[rows[single]] += 1
+                running = ~single
+                rows, sets, hit, uncovered = (
+                    rows[running], sets[:, running], hit[:, running], uncovered[:, running]
+                )
+                if not rows.size:
+                    break
+            if m == 1:
+                raise _uncoverable(sets[:, 0], n)
+            iu, ju = _pair_layout(m)
+            pair_gains = np.zeros((rows.size, iu.size), dtype=np.int32)
+            for w in range(words):
+                union = hit[w][:, iu]
+                union |= hit[w][:, ju]
+                pair_gains += np.bitwise_count(union)
+            best = pair_gains.argmax(axis=1)
+            gain = np.take_along_axis(pair_gains, best[:, None], axis=1)[:, 0]
+            step = (iu[best], ju[best])
+        if gain.min() == 0:
+            raise _uncoverable(sets[:, int(gain.argmin())], n)
+        sizes[rows] += len(step)
+        r = np.arange(rows.size)
+        for i in step:
+            uncovered &= ~sets[:, r, i]
+        running = uncovered.any(axis=0)
+        if not running.all():
+            rows, sets, uncovered = rows[running], sets[:, running], uncovered[:, running]
+    return sizes
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # Index pairs (i, j), i < j, in lexicographic order; read-only, as it is shared.
+    iu, ju = np.triu_indices(m, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def _uncoverable(sets: np.ndarray, n: int) -> UncoverableError:
+    # The elements that none of an instance's (words, m) sets contains.
+    reach = int.from_bytes(np.bitwise_or.reduce(sets, axis=1).astype("<u8").tobytes(), "little")
+    return UncoverableError(ElementSet(((1 << n) - 1) & ~reach, n).elements())
 
 
 def exact_min_cover(

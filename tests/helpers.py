@@ -7,6 +7,7 @@ cross-check rather than a tautology.
 
 import itertools
 
+import numpy as np
 from hypothesis import strategies as st
 
 from scpkit import Instance
@@ -72,6 +73,17 @@ def brute_min_size(n, family):
             if full <= set().union(*(family[i] for i in combo)):
                 return r
     return None
+
+
+def pack_masks(instances):
+    """Instances of one (n, m) shape in the batch kernel's (words, N, m) uint64
+    layout, built from the int masks rather than from generator draws."""
+    words = (instances[0].n + 63) // 64
+    return np.array(
+        [[[(mask >> 64 * w) & (2**64 - 1) for mask in inst.masks] for inst in instances]
+         for w in range(words)],
+        dtype=np.uint64,
+    )
 
 
 def to_instance(n, family):

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+import scpkit.solvers
 from scpkit import (
     CampaignSpec,
     ComparisonRow,
@@ -12,6 +15,7 @@ from scpkit import (
     emit_table,
     exact_min_cover,
     generate_instance,
+    is_feasible,
     run_campaign,
 )
 
@@ -76,15 +80,26 @@ def test_campaign_rows_follow_m_values_order_and_conserve_tallies():
 
 
 def test_campaign_matches_direct_per_instance_loop():
-    spec = CampaignSpec(n=40, q=0.35, m_values=(9,), p=2, count=60, seed=5)
-    row = run_campaign(spec)[0]
-    config = GeneratorConfig(n=40, m=9, q=0.35, seed=5)
-    expected = {Outcome.BIGSTEP_BETTER: 0, Outcome.GREEDY_BETTER: 0, Outcome.EQUAL: 0}
-    for i in range(60):
-        expected[compare_one(generate_instance(config, i), 2)] += 1
-    assert row.bigstep_better == expected[Outcome.BIGSTEP_BETTER]
-    assert row.greedy_better == expected[Outcome.GREEDY_BETTER]
-    assert row.equal == expected[Outcome.EQUAL]
+    # p <= 2 rows take the batch kernel; p=3 rows, and rows past the pair-scan
+    # cap (patched to 0), are solved one instance at a time
+    reject, keep_raw = FeasibilityPolicy.REJECT_RESAMPLE, FeasibilityPolicy.KEEP_RAW
+    cap = scpkit.solvers._PAIR_SCAN_MAX_BYTES
+    cases = [(2, reject, cap), (1, reject, cap), (3, reject, cap), (2, keep_raw, cap),
+             (2, reject, 0), (2, keep_raw, 0)]
+    for p, policy, cap in cases:
+        spec = CampaignSpec(n=40, q=0.35, m_values=(9,), p=p, count=60, seed=5,
+                            feasibility_policy=policy)
+        with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
+            row = run_campaign(spec)[0]
+        config = GeneratorConfig(n=40, m=9, q=0.35, seed=5, feasibility_policy=policy)
+        expected = {Outcome.BIGSTEP_BETTER: 0, Outcome.GREEDY_BETTER: 0, Outcome.EQUAL: 0}
+        for i in range(60):
+            instance = generate_instance(config, i)
+            outcome = compare_one(instance, p) if is_feasible(instance) else Outcome.EQUAL
+            expected[outcome] += 1
+        assert row.bigstep_better == expected[Outcome.BIGSTEP_BETTER]
+        assert row.greedy_better == expected[Outcome.GREEDY_BETTER]
+        assert row.equal == expected[Outcome.EQUAL]
 
 
 def test_worker_counts_agree():

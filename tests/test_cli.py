@@ -98,6 +98,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for value in ("0", "-2"):
         assert cli_main(gen + ["--count", value]) == 2
         assert "must be a positive integer" in capsys.readouterr().err
+    assert cli_main(bench + ["--count", "-1"]) == 2
+    assert "must be a non-negative integer" in capsys.readouterr().err
+    for argv in (gen, bench, ["feasprob", "--n", "10", "--m", "4", "--q", "0.3"]):
+        assert cli_main(argv + ["--n", "0"]) == 2
+        assert "must be a positive integer" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import scpkit.solvers
 from scpkit import Instance, UncoverableError, big_step_greedy, classical_greedy, validate_cover
 
-from helpers import families, ref_bigstep, ref_greedy, to_instance
+from helpers import families, pack_masks, ref_bigstep, ref_greedy, to_instance
 
 # _VECTOR_PAIR_MIN values that force every p=2 pair step onto one path
 PAIR_SCAN = 0
@@ -16,6 +17,11 @@ PAIR_LOOP = 10**9
 
 def _pair_path(threshold):
     return mock.patch.object(scpkit.solvers, "_VECTOR_PAIR_MIN", threshold)
+
+
+def _kernel_sizes(instances, p):
+    """Cover sizes from the batch kernel, all instances in one batch."""
+    return scpkit.solvers._batch_cover_sizes(pack_masks(instances), instances[0].n, p).tolist()
 
 
 def test_greedy_worked_example(example1):
@@ -98,6 +104,10 @@ def test_infeasible_instance_raises_with_elements():
         with _pair_path(threshold), pytest.raises(UncoverableError) as err:
             big_step_greedy(inst, 2)
         assert set(err.value.elements) == {3, 4}
+    for p in (1, 2):
+        with pytest.raises(UncoverableError) as err:
+            _kernel_sizes([inst], p)
+        assert err.value.elements == (3, 4)
 
 
 def test_all_empty_sets_is_infeasible():
@@ -121,7 +131,8 @@ def test_greedy_matches_reference(nf):
 @given(families(max_n=130), st.integers(1, 3))
 @settings(max_examples=200)
 def test_bigstep_matches_reference(nf, p):
-    # both pair paths, forced: at these sizes the default picks the loop
+    # every big-step path, forced: at these sizes the default picks the loop,
+    # and the batch kernel (p <= 2) gives the cover size alone
     n, family = nf
     inst = to_instance(n, family)
     expected = ref_bigstep(n, family, p)
@@ -130,6 +141,56 @@ def test_bigstep_matches_reference(nf, p):
             cover, _ = big_step_greedy(inst, p)
         assert list(cover.chosen) == expected
         assert validate_cover(inst, cover)
+    if p <= 2:
+        assert _kernel_sizes([inst], p) == [len(expected)]
+
+
+@given(families(max_n=130, feasible=False), st.integers(1, 2))
+@settings(max_examples=150)
+def test_batch_kernel_names_the_scalar_solvers_uncoverable_elements(nf, p):
+    n, family = nf
+    inst = to_instance(n, family)
+    try:
+        expected = big_step_greedy(inst, p)[0].size
+    except UncoverableError as err:
+        with pytest.raises(UncoverableError) as kernel_err:
+            _kernel_sizes([inst], p)
+        assert kernel_err.value.elements == err.elements
+    else:
+        assert _kernel_sizes([inst], p) == [expected]
+
+
+def test_batch_kernel_matches_scalar_solvers():
+    """Cover sizes of whole generated rows, solved as one batch each, against
+    big_step_greedy at p=2 and classical_greedy."""
+    from scpkit import FeasibilityPolicy, GeneratorConfig, generate_instance, is_feasible
+
+    rows = [(100, q, m, 560, "reject-resample") for q in (0.3, 0.4, 0.5) for m in range(10, 36, 5)]
+    # n at and around the 64-bit word boundaries
+    rows += [(n, 0.3, m, 40, "reject-resample") for n in (63, 64, 65, 128, 129) for m in (8, 21)]
+    # keep-raw rows with infeasible draws, which the campaign screens out
+    rows += [(40, 0.3, 12, 100, "keep-raw"), (100, 0.3, 15, 100, "keep-raw")]
+    # odd m where many p=2 covers use every set, so the step with one set left runs
+    rows += [(12, 0.35, 5, 200, "reject-resample"), (9, 0.3, 7, 200, "reject-resample")]
+    checked = screened = every_set = 0
+    for seed, (n, q, m, count, policy) in enumerate(rows):
+        config = GeneratorConfig(n=n, m=m, q=q, seed=seed, feasibility_policy=policy)
+        generated = [generate_instance(config, i) for i in range(count)]
+        batch = [inst for inst in generated if is_feasible(inst)]
+        screened += count - len(batch)
+        big = [big_step_greedy(inst, 2)[0].size for inst in batch]
+        greedy = [classical_greedy(inst)[0].size for inst in batch]
+        assert _kernel_sizes(batch, 2) == big
+        assert _kernel_sizes(batch, 1) == greedy
+        checked += len(batch)
+        every_set += sum(size == m for size in big) if m % 2 else 0
+    # disjoint singletons: every cover takes all m sets, the last one alone
+    for m in (1, 3, 5, 7):
+        inst = Instance.from_memberships(m, [[i] for i in range(m)])
+        assert _kernel_sizes([inst], 2) == _kernel_sizes([inst], 1) == [m]
+    assert checked >= 10_000
+    assert screened > 0
+    assert every_set > 0
 
 
 @given(families())
@@ -213,7 +274,8 @@ def test_pair_scan_is_capped_by_its_bytes():
 
     m = 30
     pairs = m * (m - 1) // 2
-    cap = (pairs * (2 * 8 + 16) + pairs * (16 * 8 + 16)) // 2
+    pair_bytes = scpkit.solvers._pair_bytes
+    cap = (pairs * pair_bytes(2) + pairs * pair_bytes(16)) // 2
     for n, built in [(100, 1), (1000, 0)]:
         inst = generate_instance(GeneratorConfig(n=n, m=m, q=0.3, seed=5), 0)
         with (
@@ -224,6 +286,41 @@ def test_pair_scan_is_capped_by_its_bytes():
             cover, _ = big_step_greedy(inst, 2)
         assert spy.call_count == built
         assert list(cover.chosen) == ref_bigstep(n, [set(s) for s in inst.sets], 2)
+
+
+def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
+    from scpkit import GeneratorConfig, generate_instance
+    from scpkit.solvers import (
+        _BATCH_MAX_BYTES,
+        _PairScan,
+        _batch_cover_sizes,
+        _batch_size,
+        _pair_bytes,
+    )
+
+    m = 200
+    pairs = m * (m - 1) // 2
+    for n in (64, 100, 150, 1000):
+        inst = generate_instance(GeneratorConfig(n=n, m=m, q=0.3, seed=5), 0)
+        tracemalloc.start()
+        try:
+            scan = _PairScan(inst.masks, n)
+            scan.mark_chosen(3)
+            scan.best((1 << n) - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= pairs * _pair_bytes((n + 63) // 64)
+    for n, m in [(100, 35), (100, 10), (1000, 35)]:
+        config = GeneratorConfig(n=n, m=m, q=0.3, seed=5)
+        sets = pack_masks([generate_instance(config, i) for i in range(_batch_size(n, m))])
+        tracemalloc.start()
+        try:
+            _batch_cover_sizes(sets, n, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _BATCH_MAX_BYTES
 
 
 def test_classical_greedy_matches_reference_on_generated_instances():
