@@ -5,10 +5,9 @@ runs both solvers on each, and tallies which found the smaller cover.  Work
 is sharded by instance-index ranges and tallies merge by addition, so any
 worker count produces the identical table.
 
-Rows are solved in batches: the draws of a sub-batch are packed into one
-uint64 array and both greedy rules run on it in lockstep, in a kernel that
-returns the cover sizes of the scalar solvers.  Rows with p >= 3 (and rows
-too wide for the pair-scan cap) are solved one instance at a time.
+Every row is solved in batches: the draws of a sub-batch are packed into
+one uint64 array and both greedy rules run on it in lockstep, in a kernel
+that returns the cover sizes of the scalar solvers, for any p.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .generate import (
     FeasibilityPolicy,
     GeneratorConfig,
     ResampleLimitError,
-    _build,
     _covers_universe,
     _draw,
 )
@@ -106,8 +104,7 @@ def _tally_range(args: tuple) -> tuple[int, int, int]:
     spec, m, lo, hi = args
     config = GeneratorConfig(spec.n, m, spec.q, spec.seed, spec.feasibility_policy)
     screen = config.feasibility_policy is FeasibilityPolicy.KEEP_RAW
-    batch = _batch_size(spec.n, m) if spec.p <= 2 else 0
-    step = batch or 1
+    step = _batch_size(spec.n, m, spec.p)
     wins = losses = 0
     for start in range(lo, hi, step):
         draws = [_draw(config, idx) for idx in range(start, min(start + step, hi))]
@@ -115,17 +112,11 @@ def _tally_range(args: tuple) -> tuple[int, int, int]:
             draws = [bits for bits in draws if _covers_universe(bits)]
         if not draws:
             continue
-        if batch:
-            sets = _pack(draws, spec.n)
-            big = _batch_cover_sizes(sets, spec.n, spec.p)
-            greedy = _batch_cover_sizes(sets, spec.n, 1)
-            wins += int((big < greedy).sum())
-            losses += int((big > greedy).sum())
-        else:
-            for bits in draws:
-                outcome = compare_one(_build(bits, spec.n), spec.p)
-                wins += outcome is Outcome.BIGSTEP_BETTER
-                losses += outcome is Outcome.GREEDY_BETTER
+        sets = _pack(draws, spec.n)
+        big = _batch_cover_sizes(sets, spec.n, spec.p)
+        greedy = _batch_cover_sizes(sets, spec.n, 1)
+        wins += int((big < greedy).sum())
+        losses += int((big > greedy).sum())
     return wins, losses, hi - lo - wins - losses
 
 

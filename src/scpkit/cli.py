@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="write random instance files")
     gen.add_argument("--n", type=_positive_int, required=True)
-    gen.add_argument("--m", type=int, required=True)
+    gen.add_argument("--m", type=_positive_int, required=True)
     gen.add_argument("--q", type=float, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--count", type=_positive_int, required=True)
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     feasprob = sub.add_parser("feasprob", help="closed-form feasibility probability")
     feasprob.add_argument("--n", type=_positive_int, required=True)
-    feasprob.add_argument("--m", type=int, required=True)
+    feasprob.add_argument("--m", type=_positive_int, required=True)
     feasprob.add_argument("--q", type=float, required=True)
     return parser
 

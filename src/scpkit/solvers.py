@@ -7,8 +7,8 @@ share one loop and return identical traces.  ``exact_min_cover`` is a
 small-instance oracle that proves minimum cover size.  All three are pure
 functions of their arguments and share one tie-breaking rule (lowest index /
 lexicographically smallest index tuple), so repeated calls return identical
-traces.  Campaigns use ``_batch_cover_sizes``, which runs both greedy rules
-over a batch of packed instances and returns only their cover sizes.
+traces.  Campaigns use ``_batch_cover_sizes``, which runs big-step greedy at
+any p over a batch of packed instances and returns only their cover sizes.
 """
 
 from __future__ import annotations
@@ -35,20 +35,20 @@ class OracleBudgetError(RuntimeError):
 
 # The numpy pair scan repays its setup from 378 pairs (m=28) in n=100 campaign
 # rows; forced scan vs loop at q=0.3 crosses over at m=20-24 for n=64 and m=30-40
-# for n=1000, so one pair count serves every n.  Campaign rows no longer reach
-# it (they go through _batch_cover_sizes), so it governs single-instance solves.
+# for n=1000, so one pair count serves every n.  It governs single-instance
+# solves only: campaign rows go through _batch_cover_sizes.
 _VECTOR_PAIR_MIN = 378
-# Peak bytes of a pair scan, pairs * _pair_bytes(words); above it the plain k=2
-# loop runs, and campaign rows fall back to solving one instance at a time.
+# Peak bytes of a pair scan, pairs * _pair_bytes(words), above which the plain
+# k=2 loop runs; in _batch_cover_sizes, the bytes of one candidate slice.
 _PAIR_SCAN_MAX_BYTES = 160_000_000
 # Bytes one _batch_cover_sizes call may use; sets the sub-batch size.
 _BATCH_MAX_BYTES = 1_000_000
 
 
 def _pair_bytes(words: int) -> int:
-    """Peak bytes per index pair of a pair scan over masks of ``words`` 64-bit
-    words: the pair unions (8 per word), the two int64 index arrays (16) and
-    at most 16 of per-step temporaries (gathers, counts and alive flags)."""
+    """Peak bytes per candidate subset (a pair scan's pair, or a subset of one
+    instance in ``_batch_cover_sizes``) over masks of ``words`` 64-bit words:
+    the unions (8 per word), two int64 index arrays (16) and 16 of temporaries."""
     return 8 * words + 32
 
 
@@ -195,17 +195,14 @@ class _PairScan:
         return (int(self._iu[b]), int(self._ju[b])), int(gains[b])
 
 
-def _batch_size(n: int, m: int) -> int:
-    """Instances per ``_batch_cover_sizes`` call at shape (n, m), or 0 when one
-    instance's charge exceeds ``_PAIR_SCAN_MAX_BYTES``.
+def _batch_size(n: int, m: int, p: int) -> int:
+    """Instances per ``_batch_cover_sizes`` call at shape (n, m) and step size p.
 
-    Each set and each pair of an instance is charged ``_pair_bytes``, and a
+    Each subset of sizes 1..p of an instance is charged ``_pair_bytes``, and a
     call gets as many instances as ``_BATCH_MAX_BYTES`` pays for, at least one.
     """
-    per_instance = (m * (m - 1) // 2 + m) * _pair_bytes((n + 63) >> 6)
-    if per_instance > _PAIR_SCAN_MAX_BYTES:
-        return 0
-    return max(1, _BATCH_MAX_BYTES // per_instance)
+    candidates = sum(math.comb(m, k) for k in range(1, p + 1))
+    return max(1, _BATCH_MAX_BYTES // (candidates * _pair_bytes((n + 63) >> 6)))
 
 
 def _pack(draws: list[np.ndarray], n: int) -> np.ndarray:
@@ -218,27 +215,28 @@ def _pack(draws: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _batch_cover_sizes(sets: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Cover sizes of ``big_step_greedy(instance, p)``, p in {1, 2}, for a batch.
+    """Cover sizes of ``big_step_greedy(instance, p)`` for a batch of instances.
 
     ``sets`` is a (words, N, m) uint64 array: word w of set i of instance b is
     ``sets[w, b, i]``, its bit e being element 64*w + e.  The instances run in
-    lockstep, each step adding one set (p=1) or one pair (p=2) to every
-    instance still running, and a finished instance leaves the batch.  Gains
-    are counted on the uncovered elements, and ``argmax`` over the sets, or
-    over the lexicographic pair layout, picks the lowest index or first pair:
-    the scalar solvers' tie rule.  At p=2 an instance finishes on the step
-    where one set covers its whole remainder, adding the lowest such set, as
-    the finisher trim does, or where the best pair does.
+    lockstep, and a finished instance leaves the batch.  Each step scores the
+    k-subsets of all m sets, k = 1..min(p, m), in lexicographic order, on the
+    uncovered elements.  An instance finishes at the first k < min(p, m) where
+    a k-subset gains its whole remainder, adding the first such subset (the
+    finisher trim's rule); otherwise it adds its first best min(p, m)-subset.
+    ``argmax`` keeps the scalar solvers' tie rule.
 
-    A chosen set has no uncovered element left, so it gains 0 and never beats
-    a set that gains anything.  A pair holding one gains what its other set,
-    j, gains alone, so it ties the best unchosen pair only if no unchosen set
-    reaches an uncovered element outside j: then j finishes the cover alone,
-    which the singleton check handles first, or no cover exists.  So chosen
-    sets need no mask.  Raises ``UncoverableError`` for an instance that its
-    sets cannot cover.
+    Chosen sets need no mask: they cover nothing uncovered, so a candidate
+    holding some gains what its unchosen part U gains.  If it ties the best
+    candidate of its size, no unchosen set reaches an uncovered element
+    outside U: then U covers the remainder, and a smaller finisher is found
+    first, or no cover exists.  A first finisher of least size holds no
+    chosen set either, or dropping one would leave a smaller finisher, and
+    with fewer than p sets unchosen a coverable instance finishes below size
+    p.  Raises ``UncoverableError`` for an instance its sets cannot cover.
     """
     words, batch, m = sets.shape
+    top = min(p, m)
     uncovered = np.full((words, batch), np.uint64(2**64 - 1))
     if n % 64:
         uncovered[-1] = np.uint64((1 << (n % 64)) - 1)
@@ -246,38 +244,23 @@ def _batch_cover_sizes(sets: np.ndarray, n: int, p: int) -> np.ndarray:
     rows = np.arange(batch)  # batch position of each running instance
     while rows.size:
         hit = sets & uncovered[:, :, None]
-        gains = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
-        if p == 1:
-            best = gains.argmax(axis=1)
-            gain = np.take_along_axis(gains, best[:, None], axis=1)[:, 0]
-            step = (best,)
-        else:
-            left = np.bitwise_count(uncovered).sum(axis=0, dtype=np.int32)
-            single = (gains == left[:, None]).any(axis=1)
-            if single.any():
-                sizes[rows[single]] += 1
-                running = ~single
+        for k in range(1, top):
+            gain, _ = _best_subsets(hit, k)
+            finish = gain == np.bitwise_count(uncovered).sum(axis=0, dtype=np.int32)
+            if finish.any():
+                sizes[rows[finish]] += k
+                running = ~finish
                 rows, sets, hit, uncovered = (
                     rows[running], sets[:, running], hit[:, running], uncovered[:, running]
                 )
                 if not rows.size:
-                    break
-            if m == 1:
-                raise _uncoverable(sets[:, 0], n)
-            iu, ju = _pair_layout(m)
-            pair_gains = np.zeros((rows.size, iu.size), dtype=np.int32)
-            for w in range(words):
-                union = hit[w][:, iu]
-                union |= hit[w][:, ju]
-                pair_gains += np.bitwise_count(union)
-            best = pair_gains.argmax(axis=1)
-            gain = np.take_along_axis(pair_gains, best[:, None], axis=1)[:, 0]
-            step = (iu[best], ju[best])
+                    return sizes
+        gain, winner = _best_subsets(hit, top)
         if gain.min() == 0:
             raise _uncoverable(sets[:, int(gain.argmin())], n)
-        sizes[rows] += len(step)
+        sizes[rows] += top
         r = np.arange(rows.size)
-        for i in step:
+        for i in winner:
             uncovered &= ~sets[:, r, i]
         running = uncovered.any(axis=0)
         if not running.all():
@@ -285,12 +268,53 @@ def _batch_cover_sizes(sets: np.ndarray, n: int, p: int) -> np.ndarray:
     return sizes
 
 
-@functools.lru_cache(maxsize=1)
-def _pair_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Index pairs (i, j), i < j, in lexicographic order; read-only, as it is shared.
-    iu, ju = np.triu_indices(m, k=1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
+def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gain and (k, N) indices of each instance's first best k-subset of its
+    # (words, N, m) uncovered bits, in slices whose temporaries fit the cap (a
+    # layout above it is built slice by slice); a later slice wins only if larger.
+    words, rows, m = hit.shape
+    if k == 1:
+        gains = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
+        best = gains.argmax(axis=1)
+        return gains[np.arange(rows), best], best[None]
+    count = math.comb(m, k)
+    width = max(1, _PAIR_SCAN_MAX_BYTES // (rows * _pair_bytes(words)))
+    held = 8 * k * count <= _PAIR_SCAN_MAX_BYTES
+    combos = itertools.combinations(range(m), k)
+    gain = winner = None
+    for start in range(0, count, width):
+        layout = (_layout(m, k)[:, start : start + width] if held else
+                  np.fromiter(combos, np.dtype((np.intp, k)), min(width, count - start)).T)
+        gains = np.zeros((rows, layout.shape[1]), dtype=np.int32)
+        for w in range(words):
+            union = hit[w][:, layout[0]]
+            for i in range(1, k):
+                union |= hit[w][:, layout[i]]
+            gains += np.bitwise_count(union)
+        best = gains.argmax(axis=1)
+        g = gains[np.arange(rows), best]
+        if gain is None:
+            gain, winner = g, layout[:, best]
+        else:
+            better = g > gain
+            gain, winner = np.where(better, g, gain), np.where(better, layout[:, best], winner)
+    return gain, winner
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(m: int, k: int) -> np.ndarray:
+    # The k-subsets of range(m) in lexicographic order as k contiguous index
+    # rows: each (k-1)-subset, ending at set l, followed by l+1, ..., m-1 in
+    # turn.  Read-only, as it is shared; the cache holds a row's k up to 8.
+    if k == 1:
+        layout = np.arange(m)[None]
+    else:
+        prev = _layout(m, k - 1)
+        counts = m - 1 - prev[-1]
+        tail = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - m, counts)
+        layout = np.vstack([np.repeat(prev, counts, axis=1), tail])
+    layout.flags.writeable = False
+    return layout
 
 
 def _uncoverable(sets: np.ndarray, n: int) -> UncoverableError:

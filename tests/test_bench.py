@@ -80,12 +80,14 @@ def test_campaign_rows_follow_m_values_order_and_conserve_tallies():
 
 
 def test_campaign_matches_direct_per_instance_loop():
-    # p <= 2 rows take the batch kernel; p=3 rows, and rows past the pair-scan
-    # cap (patched to 0), are solved one instance at a time
+    # every row takes the batch kernel; a lowered cap makes it scan the
+    # subsets in slices (3,000 bytes: the 4-subset layout is built slice by
+    # slice too) or one subset at a time from layouts never held whole (0)
     reject, keep_raw = FeasibilityPolicy.REJECT_RESAMPLE, FeasibilityPolicy.KEEP_RAW
     cap = scpkit.solvers._PAIR_SCAN_MAX_BYTES
-    cases = [(2, reject, cap), (1, reject, cap), (3, reject, cap), (2, keep_raw, cap),
-             (2, reject, 0), (2, keep_raw, 0)]
+    cases = [(2, reject, cap), (1, reject, cap), (3, reject, cap), (4, reject, cap),
+             (2, keep_raw, cap), (4, keep_raw, cap),
+             (2, reject, 0), (4, reject, 3_000), (2, keep_raw, 3_000), (4, keep_raw, 0)]
     for p, policy, cap in cases:
         spec = CampaignSpec(n=40, q=0.35, m_values=(9,), p=p, count=60, seed=5,
                             feasibility_policy=policy)

@@ -103,6 +103,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for argv in (gen, bench, ["feasprob", "--n", "10", "--m", "4", "--q", "0.3"]):
         assert cli_main(argv + ["--n", "0"]) == 2
         assert "must be a positive integer" in capsys.readouterr().err
+    for argv in (gen, ["feasprob", "--n", "10", "--m", "4", "--q", "0.3"]):
+        for value in ("0", "-3"):
+            assert cli_main(argv + ["--m", value]) == 2
+            assert "must be a positive integer" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):

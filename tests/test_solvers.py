@@ -104,7 +104,7 @@ def test_infeasible_instance_raises_with_elements():
         with _pair_path(threshold), pytest.raises(UncoverableError) as err:
             big_step_greedy(inst, 2)
         assert set(err.value.elements) == {3, 4}
-    for p in (1, 2):
+    for p in (1, 2, 3):
         with pytest.raises(UncoverableError) as err:
             _kernel_sizes([inst], p)
         assert err.value.elements == (3, 4)
@@ -128,11 +128,12 @@ def test_greedy_matches_reference(nf):
     assert validate_cover(inst, cover)
 
 
-@given(families(max_n=130), st.integers(1, 3))
+@given(families(max_n=130), st.integers(1, 4))
 @settings(max_examples=200)
 def test_bigstep_matches_reference(nf, p):
     # every big-step path, forced: at these sizes the default picks the loop,
-    # and the batch kernel (p <= 2) gives the cover size alone
+    # and the batch kernel gives the cover size alone, also with a cap so low
+    # that it scans a few subsets per slice from layouts built slice by slice
     n, family = nf
     inst = to_instance(n, family)
     expected = ref_bigstep(n, family, p)
@@ -141,11 +142,12 @@ def test_bigstep_matches_reference(nf, p):
             cover, _ = big_step_greedy(inst, p)
         assert list(cover.chosen) == expected
         assert validate_cover(inst, cover)
-    if p <= 2:
+    assert _kernel_sizes([inst], p) == [len(expected)]
+    with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 200):
         assert _kernel_sizes([inst], p) == [len(expected)]
 
 
-@given(families(max_n=130, feasible=False), st.integers(1, 2))
+@given(families(max_n=130, feasible=False), st.integers(1, 3))
 @settings(max_examples=150)
 def test_batch_kernel_names_the_scalar_solvers_uncoverable_elements(nf, p):
     n, family = nf
@@ -162,7 +164,8 @@ def test_batch_kernel_names_the_scalar_solvers_uncoverable_elements(nf, p):
 
 def test_batch_kernel_matches_scalar_solvers():
     """Cover sizes of whole generated rows, solved as one batch each, against
-    big_step_greedy at p=2 and classical_greedy."""
+    big_step_greedy at p=2 and classical_greedy, and at p=3 on the first 40
+    instances of each row."""
     from scpkit import FeasibilityPolicy, GeneratorConfig, generate_instance, is_feasible
 
     rows = [(100, q, m, 560, "reject-resample") for q in (0.3, 0.4, 0.5) for m in range(10, 36, 5)]
@@ -182,12 +185,13 @@ def test_batch_kernel_matches_scalar_solvers():
         greedy = [classical_greedy(inst)[0].size for inst in batch]
         assert _kernel_sizes(batch, 2) == big
         assert _kernel_sizes(batch, 1) == greedy
+        assert _kernel_sizes(batch[:40], 3) == [big_step_greedy(i, 3)[0].size for i in batch[:40]]
         checked += len(batch)
         every_set += sum(size == m for size in big) if m % 2 else 0
     # disjoint singletons: every cover takes all m sets, the last one alone
     for m in (1, 3, 5, 7):
         inst = Instance.from_memberships(m, [[i] for i in range(m)])
-        assert _kernel_sizes([inst], 2) == _kernel_sizes([inst], 1) == [m]
+        assert [_kernel_sizes([inst], p) for p in (1, 2, 3)] == [[m]] * 3
     assert checked >= 10_000
     assert screened > 0
     assert every_set > 0
@@ -288,6 +292,35 @@ def test_pair_scan_is_capped_by_its_bytes():
         assert list(cover.chosen) == ref_bigstep(n, [set(s) for s in inst.sets], 2)
 
 
+def test_sliced_subset_scan_keeps_the_first_best_subset():
+    """The kernel's k-subset scan, whole, in slices of cached layouts and in
+    slices of layouts built slice by slice, returns each instance's first
+    best subset in lexicographic order; few bits per word make many ties."""
+    import itertools
+
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    words, batch, m = 2, 8, 12
+    hit = rng.integers(0, 2**5, size=(words, batch, m), dtype=np.uint64)
+    for k in (2, 3, 4):
+        combos = list(itertools.combinations(range(m), k))
+        expected_gain, expected_winner = [], []
+        for b in range(batch):
+            gains = [sum(int(np.bitwise_or.reduce(hit[w, b, list(c)])).bit_count()
+                         for w in range(words)) for c in combos]
+            expected_gain.append(max(gains))
+            expected_winner.append(combos[gains.index(max(gains))])
+        # whole; slices of 3-55 subsets from the cached layout; the same
+        # slices from a layout one byte over the cap, built slice by slice
+        layout_bytes = 8 * k * len(combos)
+        for cap in (scpkit.solvers._PAIR_SCAN_MAX_BYTES, layout_bytes, layout_bytes - 1):
+            with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
+                gain, winner = scpkit.solvers._best_subsets(hit, k)
+            assert gain.tolist() == expected_gain
+            assert [tuple(w) for w in winner.T.tolist()] == expected_winner
+
+
 def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
     from scpkit import GeneratorConfig, generate_instance
     from scpkit.solvers import (
@@ -313,7 +346,7 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
         assert peak <= pairs * _pair_bytes((n + 63) // 64)
     for n, m in [(100, 35), (100, 10), (1000, 35)]:
         config = GeneratorConfig(n=n, m=m, q=0.3, seed=5)
-        sets = pack_masks([generate_instance(config, i) for i in range(_batch_size(n, m))])
+        sets = pack_masks([generate_instance(config, i) for i in range(_batch_size(n, m, 2))])
         tracemalloc.start()
         try:
             _batch_cover_sizes(sets, n, 2)
@@ -321,6 +354,25 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
         finally:
             tracemalloc.stop()
         assert peak <= _BATCH_MAX_BYTES
+    # One instance (and a batch of three) whose p-subsets, and their whole
+    # layout, exceed a lowered cap: the kernel scans them in slices sized by
+    # the batch and builds the layout slice by slice.
+    cap = 100_000
+    for p, m, count in [(2, 120, 1), (3, 40, 1), (2, 120, 3)]:
+        config = GeneratorConfig(n=100, m=m, q=0.3, seed=5)
+        batch = [generate_instance(config, i) for i in range(count)]
+        assert math.comb(m, p) * _pair_bytes(2) > cap and 8 * p * math.comb(m, p) > cap
+        width = cap // (count * _pair_bytes(2))
+        sets = pack_masks(batch)
+        with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
+            tracemalloc.start()
+            try:
+                sizes = _batch_cover_sizes(sets, 100, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sizes.tolist() == [big_step_greedy(inst, p)[0].size for inst in batch]
+        assert peak <= cap + 8 * p * width
 
 
 def test_classical_greedy_matches_reference_on_generated_instances():
