@@ -25,7 +25,7 @@ from .generate import (
     GeneratorConfig,
     ResampleLimitError,
     _covers_universe,
-    _draw,
+    _draws,
 )
 from .solvers import _batch_cover_sizes, _batch_size, _pack, big_step_greedy, classical_greedy
 
@@ -107,10 +107,10 @@ def _tally_range(args: tuple) -> tuple[int, int, int]:
     step = _batch_size(spec.n, m, spec.p)
     wins = losses = 0
     for start in range(lo, hi, step):
-        draws = [_draw(config, idx) for idx in range(start, min(start + step, hi))]
+        draws = _draws(config, range(start, min(start + step, hi)))
         if screen:
-            draws = [bits for bits in draws if _covers_universe(bits)]
-        if not draws:
+            draws = draws[_covers_universe(draws)]
+        if not len(draws):
             continue
         sets = _pack(draws, spec.n)
         big = _batch_cover_sizes(sets, spec.n, spec.p)

@@ -38,6 +38,26 @@ _positive_int = _int_at_least(1, "a positive integer")
 _non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
+def _probability(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def _positive_int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(_positive_int(tok) for tok in text.split(",") if tok)
@@ -64,21 +84,21 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write random instance files")
     gen.add_argument("--n", type=_positive_int, required=True)
     gen.add_argument("--m", type=_positive_int, required=True)
-    gen.add_argument("--q", type=float, required=True)
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--q", type=_probability, required=True)
+    gen.add_argument("--seed", type=_seed, required=True)
     gen.add_argument("--count", type=_positive_int, required=True)
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--policy", choices=sorted(_POLICIES), default="reject")
 
     bench = sub.add_parser("bench", help="compare the two greedy solvers head to head")
     bench.add_argument("--n", type=_positive_int, required=True)
-    bench.add_argument("--q", type=float, required=True)
+    bench.add_argument("--q", type=_probability, required=True)
     bench.add_argument("--m", type=_positive_int_list, required=True, help="set counts, e.g. 10,20,35")
     bench.add_argument("--p", type=_positive_int, default=2)
     bench.add_argument(
         "--count", type=_non_negative_int, required=True, help="instances per m value"
     )
-    bench.add_argument("--seed", type=int, required=True)
+    bench.add_argument("--seed", type=_seed, required=True)
     bench.add_argument("--policy", choices=sorted(_POLICIES), default="reject")
     bench.add_argument("--format", choices=["markdown", "csv"], default="markdown")
     bench.add_argument("--workers", type=_positive_int, default=1)
@@ -86,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     feasprob = sub.add_parser("feasprob", help="closed-form feasibility probability")
     feasprob.add_argument("--n", type=_positive_int, required=True)
     feasprob.add_argument("--m", type=_positive_int, required=True)
-    feasprob.add_argument("--q", type=float, required=True)
+    feasprob.add_argument("--q", type=_probability, required=True)
     return parser
 
 

@@ -205,12 +205,13 @@ def _batch_size(n: int, m: int, p: int) -> int:
     return max(1, _BATCH_MAX_BYTES // (candidates * _pair_bytes((n + 63) >> 6)))
 
 
-def _pack(draws: list[np.ndarray], n: int) -> np.ndarray:
-    """Bool (m, n) membership draws of one shape as the (words, N, m) uint64
-    layout of ``_batch_cover_sizes``."""
-    packed = np.zeros((len(draws), draws[0].shape[0], ((n + 63) >> 6) * 8), dtype=np.uint8)
-    for b, bits in enumerate(draws):
-        packed[b, :, : (n + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
+def _pack(draws: np.ndarray, n: int) -> np.ndarray:
+    """An (N, m, n) bool array of membership draws (``draws[b, i, j]``: element
+    j is in set i of instance b) as the (words, N, m) uint64 layout of
+    ``_batch_cover_sizes``, through one ``np.packbits`` call."""
+    batch, m, _ = draws.shape
+    packed = np.zeros((batch, m, ((n + 63) >> 6) * 8), dtype=np.uint8)
+    packed[:, :, : (n + 7) >> 3] = np.packbits(draws, axis=2, bitorder="little")
     return np.ascontiguousarray(packed.view("<u8").transpose(2, 0, 1))
 
 

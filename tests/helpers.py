@@ -103,7 +103,3 @@ def families(draw, max_n=20, max_m=8, feasible=True):
         for e in set(range(n)) - set().union(*family):
             family[draw(st.integers(0, m - 1))].add(e)
     return n, family
-
-
-def feasible_instances(max_n=20, max_m=8):
-    return families(max_n=max_n, max_m=max_m).map(lambda nf: to_instance(*nf))

@@ -107,6 +107,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         for value in ("0", "-3"):
             assert cli_main(argv + ["--m", value]) == 2
             assert "must be a positive integer" in capsys.readouterr().err
+    for argv in (gen, bench, ["feasprob", "--n", "10", "--m", "3", "--q", "0.3"]):
+        for value in ("1.5", "-0.1", "inf", "nan", "half"):
+            assert cli_main(argv + ["--q", value]) == 2
+            assert "must be a probability in [0, 1]" in capsys.readouterr().err
+    for argv in (gen, bench):
+        for value in ("-1", str(2**64), "1.5"):
+            assert cli_main(argv + ["--seed", value]) == 2
+            assert "must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # gen wrote nothing before the usage errors
 
 
 def test_help_exits_0(capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from scpkit import (
     generate_instance,
     is_feasible,
 )
+from scpkit.generate import _block_width, _draws, _pcg64_state
 
 
 def test_same_config_and_index_is_bitwise_identical():
@@ -71,12 +74,18 @@ def test_redraw_cap_counts_redraws_after_the_first_draw():
     """A first feasible candidate at draw k (k redraws after the first) is
     returned under max_redraws=k and unreachable under max_redraws=k-1."""
     config = GeneratorConfig(n=10, m=3, q=0.4, seed=2024)
+    # P = 0.0876, so redraws come in blocks of 11 from draw 1 on, and a cap of
+    # k - 1 redraws cuts a block short unless draw k starts a block.
+    width = _block_width(config)
+    assert width == 11
     checked = 0
+    inside_block = False
     for index in range(40):
         block = _raw_candidates(config, index, 400)
         k = next(j for j in range(400) if block[j].any(axis=0).all())
         if k < 2:
             continue
+        inside_block |= (k - 1) % width != 0
         with pytest.raises(ResampleLimitError):
             generate_instance(replace(config, max_redraws=k - 1), index)
         inst = generate_instance(replace(config, max_redraws=k), index)
@@ -84,6 +93,47 @@ def test_redraw_cap_counts_redraws_after_the_first_draw():
             assert inst.sets[i].elements() == tuple(np.nonzero(block[k][i])[0])
         checked += 1
     assert checked >= 10
+    assert inside_block
+
+
+def test_pcg64_state_matches_numpy_seeding():
+    indices = list(range(501)) + [2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2015):
+        for index in indices:
+            seq = np.random.SeedSequence(seed, spawn_key=(index,))
+            state = np.random.PCG64(seq).state["state"]
+            assert _pcg64_state(seed, index) == (state["state"], state["inc"]), (seed, index)
+
+
+def test_batched_draws_equal_one_index_at_a_time():
+    indices = [0, 1, 2, 7, 2**32, 2**64 - 1]
+    for policy in FeasibilityPolicy:
+        for q in (0.35, 0.6):  # P = 0.025 (redraw blocks of 40) and 0.73
+            config = GeneratorConfig(n=30, m=5, q=q, seed=11, feasibility_policy=policy)
+            batch = _draws(config, indices)
+            assert batch.shape == (len(indices), 5, 30)
+            for b, index in enumerate(indices):
+                assert np.array_equal(batch[b], _draws(config, [index])[0])
+            if policy is FeasibilityPolicy.KEEP_RAW:
+                raw = [_raw_candidates(config, index, 1)[0] for index in indices]
+                assert np.array_equal(batch, np.stack(raw))
+
+
+def test_threads_share_no_generator_state():
+    config = GeneratorConfig(n=40, m=6, q=0.3, seed=99)
+    expected = [generate_instance(config, i) for i in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(lambda: [generate_instance(config, i) for i in range(200)])
+                for _ in range(4)
+            ]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == expected for result in results)
 
 
 def test_q_one_gives_full_sets():
