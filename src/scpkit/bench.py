@@ -137,8 +137,8 @@ def run_campaign(
     byte-identical to the sequential run because instance streams are keyed
     by index alone and tally merging is addition.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     rows: list[ComparisonRow] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

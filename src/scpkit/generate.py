@@ -274,11 +274,24 @@ def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
     return hash_const, value ^ (value >> 16)
 
 
+# Bytes of packed rows that _build reads as one int.
+_BUILD_BLOCK_BYTES = 128
+
+
 def _build(bits: np.ndarray, n: int) -> Instance:
+    # Rows are packed little-endian and read as ints a block of up to
+    # _BUILD_BLOCK_BYTES at a time, each row shifted out of its block: for
+    # narrow rows that costs less than one bytes slice and int.from_bytes per
+    # set, while shifting a block of wide rows costs more, so a row over half
+    # the block is a block of its own.
     packed = np.packbits(bits, axis=1, bitorder="little")
     data = packed.tobytes()
     width = packed.shape[1]
-    masks = tuple(
-        int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(bits.shape[0])
-    )
-    return Instance(n, masks)
+    block = max(1, _BUILD_BLOCK_BYTES // width) * width
+    masks = [int.from_bytes(data[lo : lo + block], "little") for lo in range(0, len(data), block)]
+    if block > width:
+        step = 8 * width
+        row_mask = (1 << step) - 1
+        shifts = range(0, 8 * block, step)
+        masks = [value >> s & row_mask for value in masks for s in shifts][: bits.shape[0]]
+    return Instance(n, tuple(masks))

@@ -9,6 +9,16 @@ functions of their arguments and share one tie-breaking rule (lowest index /
 lexicographically smallest index tuple), so repeated calls return identical
 traces.  Campaigns use ``_batch_cover_sizes``, which runs big-step greedy at
 any p over a batch of packed instances and returns only their cover sizes.
+
+A p=2 solve with enough pairs scans them with ``_PairScan``.  Its steps
+score only the pairs that can still win: a pair's gain is at most the sum of
+its two sets' own gains (coverage is subadditive, the bound of Minoux's
+accelerated greedy), and the exact gain of the two sets with the highest
+gains is a lower bound on the best pair's, so a pair whose bound is below it
+cannot win.  That keeps every winner, gain and ``candidates_evaluated``
+(C(u, 2) by construction) as they were.  Where the bound leaves too many
+pairs, or the instance has few pair-words, a step scans the held unions of
+all pairs instead, built the first time a step needs them.
 """
 
 from __future__ import annotations
@@ -43,6 +53,16 @@ _VECTOR_PAIR_MIN = 378
 _PAIR_SCAN_MAX_BYTES = 160_000_000
 # Bytes one _batch_cover_sizes call may use; sets the sub-batch size.
 _BATCH_MAX_BYTES = 1_000_000
+# _PairScan's pruning rules: the pair-words, C(m, 2) * words, from which it
+# tries the bound-pruned scan, and the share of a step's live pairs above which
+# that step runs the union scan instead.  Forced pruning against the union scan
+# alone, whole p=2 solves at n=64, 100 and 1000: at 8k pair-words pruning took
+# 1.05-1.7x the time; at 16k 0.7-1.6x; at 32k 0.3-0.9x for q <= 0.2 and
+# 0.65-1.5x at q=0.3; from 64k 0.3-0.8x and 0.6-1.1x.  A share of 1/8 or 1/16
+# ran q=0.3 shapes above the gate at 0.9-1.9x, against 0.65-1.2x for 1/4, as
+# a step that falls back pays for its pruning attempt too.
+_PRUNE_MIN_PAIR_WORDS = 2**15
+_PRUNE_MAX_SHARE = 0.25
 
 
 def _pair_bytes(words: int) -> int:
@@ -158,31 +178,107 @@ def _trim_to_finisher(
 class _PairScan:
     """Max-gain scan over index pairs via word-packed masks.
 
-    Pairs are laid out in lexicographic order, so the first maximum found by
-    ``argmax`` is the tie-rule winner.  Pairs touching a chosen set score 0
-    and can never beat a live pair with positive gain.
+    A step first tries the bound-pruned scan.  Coverage is subadditive, so a
+    pair's gain is at most g_i + g_j, the gains of its two sets alone.  The
+    exact gain L of the two live sets with the highest g, taken in a stable
+    descending order, is a lower bound on the step's best gain, so every best
+    pair has g_i + g_j >= L: the scan computes exact gains for those
+    candidates only, and the highest, ties to the lexicographically smallest
+    (i, j), is the step's winner.  One ``searchsorted`` over the sorted g
+    finds each set's candidates, and their gains are gathered in slices that
+    fit ``_PAIR_SCAN_MAX_BYTES``.  At n=1000, m=400, q=0.05 a step scores
+    ~30 of the ~75,000 live pairs in the median.
+
+    The union scan is the fallback: it holds the union of every pair, laid
+    out in lexicographic order, so the first maximum found by ``argmax`` is
+    the tie-rule winner, and pairs touching a chosen set score 0.  It runs
+    when the pair-words, C(m, 2) * words, are below
+    ``_PRUNE_MIN_PAIR_WORDS``, and on a step whose bound leaves more than
+    ``_PRUNE_MAX_SHARE`` of the live pairs; its unions are built on the first
+    step that needs them, so a scan that prunes every step never builds them.
     """
 
     def __init__(self, masks: tuple[int, ...], n: int):
         m = len(masks)
         words = (n + 63) >> 6
         raw = b"".join(s.to_bytes(words * 8, "little") for s in masks)
-        cols = np.frombuffer(raw, dtype=np.uint64).reshape(m, words)
-        self._iu, self._ju = np.triu_indices(m, k=1)
-        self._unions = []
-        for w in range(words):
-            union = cols[:, w][self._iu]
-            union |= cols[:, w][self._ju]
-            self._unions.append(union)
-        self._nbytes = words * 8
+        self._masks = masks
+        # word w of set i is self._rows[w, i]
+        self._rows = np.frombuffer(raw, dtype=np.uint64).reshape(m, words).T.copy()
         self._alive_flags = np.ones(m, dtype=bool)
+        # n + 1 for a chosen set: below any live set's -gain, it pairs with none
+        self._dead = np.zeros(m, dtype=np.int32)
+        self._n = n
+        self._live = m
+        self._prune = m * (m - 1) // 2 * words >= _PRUNE_MIN_PAIR_WORDS
+        self._iu = self._ju = self._unions = None
 
     def mark_chosen(self, i: int) -> None:
         self._alive_flags[i] = False
+        self._dead[i] = self._n + 1
+        self._live -= 1
 
     def best(self, uncovered: int) -> tuple[tuple[int, ...], int]:
+        w = np.frombuffer(uncovered.to_bytes(self._rows.shape[0] * 8, "little"), dtype=np.uint64)
+        if self._prune:
+            found = self._pruned_best(uncovered, w)
+            if found is not None:
+                return found
+        return self._union_best(w)
+
+    def _pruned_best(self, uncovered: int, w: np.ndarray) -> tuple[tuple[int, ...], int] | None:
+        # None when the bound leaves more than _PRUNE_MAX_SHARE of the live pairs.
+        hit = self._rows & w[:, None]
+        neg = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
+        np.subtract(self._dead, neg, out=neg)  # -g, chosen sets n + 1
+        order = np.argsort(neg, kind="stable")
+        top, second = self._masks[order[0]], self._masks[order[1]]
+        bound = ((top | second) & uncovered).bit_count()
+        # Row a of the sets in that order pairs with the b > a where
+        # g[a] + g[b] >= bound; as g falls, so does each row's count, so the
+        # rows that have one lead.
+        neg = neg[order]
+        counts = np.searchsorted(neg, -bound - neg, side="right") - np.arange(1, neg.size + 1)
+        counts = counts[: np.count_nonzero(counts > 0)]
+        ends = np.cumsum(counts)
+        if ends[-1] > _PRUNE_MAX_SHARE * (self._live * (self._live - 1) // 2):
+            return None
+        hit = np.take(hit, order, axis=1)
+        # Slices of whole rows, each within the cap for its two gathers unless
+        # one row alone is over it.
+        width = max(1, _PAIR_SCAN_MAX_BYTES // (2 * _pair_bytes(hit.shape[0])))
+        m = neg.size
+        gain, key = -1, 0
+        start = 0
+        while start < counts.size:
+            done = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + width, side="right")))
+            c = counts[start:stop]
+            lead = np.arange(start, stop)
+            a = np.repeat(lead, c)
+            b = np.arange(a.size) + np.repeat(lead + 1 + done + c - ends[start:stop], c)
+            union = np.take(hit, a, axis=1)
+            union |= np.take(hit, b, axis=1)
+            gains = np.bitwise_count(union).sum(axis=0, dtype=np.int32)
+            best = int(gains.max())
+            if best >= gain:
+                tie = gains == best
+                i, j = order[a[tie]], order[b[tie]]
+                first = int((np.minimum(i, j) * m + np.maximum(i, j)).min())
+                if best > gain or first < key:
+                    gain, key = best, first
+            start = stop
+        return divmod(key, m), gain
+
+    def _union_best(self, w: np.ndarray) -> tuple[tuple[int, ...], int]:
+        if self._unions is None:
+            self._iu, self._ju = np.triu_indices(self._alive_flags.size, k=1)
+            self._unions = []
+            for row in self._rows:
+                union = row[self._iu]
+                union |= row[self._ju]
+                self._unions.append(union)
         alive = self._alive_flags[self._iu] & self._alive_flags[self._ju]
-        w = np.frombuffer(uncovered.to_bytes(self._nbytes, "little"), dtype=np.uint64)
         counts = np.bitwise_count(self._unions[0] & w[0])
         if len(self._unions) == 2:
             counts = counts + np.bitwise_count(self._unions[1] & w[1])

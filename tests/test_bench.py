@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import pytest
@@ -151,8 +152,9 @@ def test_progress_sink_is_monotone_per_row():
 
 def test_workers_validation():
     spec = CampaignSpec(n=10, q=0.5, m_values=(3,), p=2, count=1, seed=1)
-    with pytest.raises(ValueError):
-        run_campaign(spec, workers=0)
+    for bad in (0, -1, 1.5, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            run_campaign(spec, workers=bad)
 
 
 def test_nonequal_verdicts_respect_the_optimum():

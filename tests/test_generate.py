@@ -14,7 +14,7 @@ from scpkit import (
     generate_instance,
     is_feasible,
 )
-from scpkit.generate import _block_width, _draws, _pcg64_state
+from scpkit.generate import _block_width, _build, _draws, _pcg64_state
 
 
 def test_same_config_and_index_is_bitwise_identical():
@@ -134,6 +134,18 @@ def test_threads_share_no_generator_state():
     finally:
         sys.setswitchinterval(interval)
     assert all(result == expected for result in results)
+
+
+def test_build_reads_each_row_as_its_mask():
+    """Rows narrower than a block share one int; wider ones are read alone.
+    Widths span a 64-bit word and the block size, and m leaves a short last
+    block."""
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 8, 9, 63, 64, 65, 100, 505, 512, 513, 1016, 1024, 1025, 3000):
+        for m in (1, 9, 25, 31):
+            bits = rng.random((m, n)) < 0.3
+            expected = tuple(sum(1 << int(e) for e in np.flatnonzero(row)) for row in bits)
+            assert _build(bits, n).masks == expected
 
 
 def test_q_one_gives_full_sets():

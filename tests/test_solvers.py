@@ -10,13 +10,18 @@ from scpkit import Instance, UncoverableError, big_step_greedy, classical_greedy
 
 from helpers import families, pack_masks, ref_bigstep, ref_greedy, to_instance
 
-# _VECTOR_PAIR_MIN values that force every p=2 pair step onto one path
-PAIR_SCAN = 0
-PAIR_LOOP = 10**9
+# Settings that force every p=2 pair step onto one path: _PairScan's
+# bound-pruned scan, its union scan, or the plain k=2 loop
+PRUNED = {"_VECTOR_PAIR_MIN": 0, "_PRUNE_MIN_PAIR_WORDS": 0, "_PRUNE_MAX_SHARE": 1.0}
+UNION = {"_VECTOR_PAIR_MIN": 0, "_PRUNE_MIN_PAIR_WORDS": 2**63}
+LOOP = {"_VECTOR_PAIR_MIN": 10**9}
+PAIR_PATHS = (PRUNED, UNION, LOOP)
+# _PairScan at any size: pruned steps, and union steps where the share rule says
+SHARE_RULE = {"_VECTOR_PAIR_MIN": 0, "_PRUNE_MIN_PAIR_WORDS": 0}
 
 
-def _pair_path(threshold):
-    return mock.patch.object(scpkit.solvers, "_VECTOR_PAIR_MIN", threshold)
+def _pair_path(path):
+    return mock.patch.multiple(scpkit.solvers, **path)
 
 
 def _kernel_sizes(instances, p):
@@ -100,10 +105,24 @@ def test_infeasible_instance_raises_with_elements():
     with pytest.raises(UncoverableError) as err:
         classical_greedy(inst)
     assert set(err.value.elements) == {3, 4}
-    for threshold in (PAIR_SCAN, PAIR_LOOP):
-        with _pair_path(threshold), pytest.raises(UncoverableError) as err:
+    for path in PAIR_PATHS:
+        with _pair_path(path), pytest.raises(UncoverableError) as err:
             big_step_greedy(inst, 2)
         assert set(err.value.elements) == {3, 4}
+    # wide: the last sets leave three elements uncovered, so a pruned step
+    # sees every live set gain 0
+    from scpkit import GeneratorConfig, generate_instance
+
+    gone = 1 << 5 | 1 << 500 | 1 << 999
+    base = generate_instance(GeneratorConfig(n=1000, m=120, q=0.1, seed=4), 0)
+    wide = Instance(1000, tuple(mask & ~gone for mask in base.masks))
+    for path in PAIR_PATHS:
+        with _pair_path(path), pytest.raises(UncoverableError) as err:
+            big_step_greedy(wide, 2)
+        assert err.value.elements == (5, 500, 999)
+    with pytest.raises(UncoverableError) as err:
+        big_step_greedy(wide, 2)
+    assert err.value.elements == (5, 500, 999)
     for p in (1, 2, 3):
         with pytest.raises(UncoverableError) as err:
             _kernel_sizes([inst], p)
@@ -137,8 +156,8 @@ def test_bigstep_matches_reference(nf, p):
     n, family = nf
     inst = to_instance(n, family)
     expected = ref_bigstep(n, family, p)
-    for threshold in (PAIR_SCAN, PAIR_LOOP):
-        with _pair_path(threshold):
+    for path in PAIR_PATHS:
+        with _pair_path(path):
             cover, _ = big_step_greedy(inst, p)
         assert list(cover.chosen) == expected
         assert validate_cover(inst, cover)
@@ -252,23 +271,108 @@ def test_pair_scan_matches_plain_enumeration():
         config = GeneratorConfig(n=n, m=m, q=q, seed=seed)
         for index in range(25):
             inst = generate_instance(config, index)
-            with _pair_path(PAIR_SCAN):
-                fast = big_step_greedy(inst, 2)
-            with _pair_path(PAIR_LOOP):
+            with _pair_path(LOOP):
                 slow = big_step_greedy(inst, 2)
-            assert fast == slow
+            for path in (PRUNED, UNION):
+                with _pair_path(path):
+                    assert big_step_greedy(inst, 2) == slow
 
 
 def test_pair_scan_survives_wide_universes():
     # more than two 64-bit words per mask exercises the wide accumulation path
     memberships = [list(range(i, 150, 7)) for i in range(20)]
     inst = Instance.from_memberships(150, memberships)
-    with _pair_path(PAIR_SCAN):
-        fast = big_step_greedy(inst, 2)
-    assert validate_cover(inst, fast[0])
-    with _pair_path(PAIR_LOOP):
+    with _pair_path(LOOP):
         slow = big_step_greedy(inst, 2)
-    assert fast == slow
+    assert validate_cover(inst, slow[0])
+    for path in (PRUNED, UNION):
+        with _pair_path(path):
+            assert big_step_greedy(inst, 2) == slow
+
+
+def test_pruned_pair_scan_matches_the_loop_on_generated_instances():
+    """Whole traces of the pruned scan, alone and with union steps where the
+    bound leaves too many pairs, and of the default routing, against the k=2
+    loop, at n on and around the 64-bit word boundaries and at n=1000."""
+    from scpkit import GeneratorConfig, generate_instance
+
+    shapes = [(n, 120, 0.05, 4) for n in (63, 64, 65, 128, 129)]
+    shapes += [(n, 30, 0.3, 4) for n in (63, 64, 65, 128, 129)]
+    shapes += [(1000, 200, 0.05, 2), (1000, 60, 0.3, 2)]
+    for seed, (n, m, q, count) in enumerate(shapes):
+        config = GeneratorConfig(n=n, m=m, q=q, seed=seed)
+        for index in range(count):
+            inst = generate_instance(config, index)
+            with _pair_path(LOOP):
+                slow = big_step_greedy(inst, 2)
+            for path in (PRUNED, SHARE_RULE):
+                with _pair_path(path):
+                    assert big_step_greedy(inst, 2) == slow
+            assert big_step_greedy(inst, 2) == slow
+
+
+def test_sparse_wide_instances_never_build_the_pair_unions():
+    """At n=1000, m=400, q=0.05 every pair step is settled by the pruned scan
+    and matches the k=2 loop; the union array is never built."""
+    from scpkit import GeneratorConfig, generate_instance
+
+    scan = scpkit.solvers._PairScan
+    original = scan._pruned_best
+    pruned = []
+
+    def spy(self, *args):
+        pruned.append(original(self, *args))
+        return pruned[-1]
+
+    config = GeneratorConfig(n=1000, m=400, q=0.05, seed=2015)
+    for index in range(3):
+        inst = generate_instance(config, index)
+        pruned.clear()
+        with (
+            mock.patch.object(scan, "_pruned_best", spy),
+            mock.patch.object(scan, "_union_best", side_effect=AssertionError("union scan ran")),
+        ):
+            fast = big_step_greedy(inst, 2)
+        assert len(pruned) == len(fast[1].steps)
+        assert None not in pruned
+        with _pair_path(LOOP):
+            assert big_step_greedy(inst, 2) == fast
+
+
+def _all_ties_families():
+    """Families whose pair bounds tie: identical sets, every set twice, and
+    many disjoint sets of one size."""
+    from scpkit import GeneratorConfig, generate_instance
+
+    identical = [set(range(100))] * 40 + [set(range(100 + 10 * k, 110 + 10 * k)) for k in range(3)]
+    sparse = generate_instance(GeneratorConfig(n=130, m=30, q=0.1, seed=8), 0)
+    twice = [set(s) for s in sparse.sets for _ in range(2)]
+    equal = [{2 * k, 2 * k + 1} for k in range(64)] + [{k} for k in range(0, 128, 7)]
+    return [(130, identical), (130, twice), (128, equal)]
+
+
+@pytest.mark.parametrize("n, family", _all_ties_families())
+def test_pair_paths_agree_on_all_ties_families(n, family):
+    inst = to_instance(n, family)
+    expected = ref_bigstep(n, family, 2)
+    with _pair_path(LOOP):
+        slow = big_step_greedy(inst, 2)
+    assert list(slow[0].chosen) == expected
+    for path in (PRUNED, UNION, SHARE_RULE):
+        with _pair_path(path):
+            assert big_step_greedy(inst, 2) == slow
+
+
+def test_pruned_scan_keeps_the_tie_rule_across_slices():
+    # Sets 2 and 3 gain most alone, so their rows are scanned first, and
+    # their union ties the lexicographically first best pair, (0, 1); a
+    # 1-byte cap gives each row a slice of its own.
+    inst = Instance.from_memberships(
+        10, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [0, 1, 2, 5, 6, 7], [3, 4, 5, 6, 8, 9]]
+    )
+    with _pair_path(PRUNED), mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 1):
+        scan = scpkit.solvers._PairScan(inst.masks, 10)
+        assert scan.best(2**10 - 1) == ((0, 1), 10)
 
 
 def test_pair_scan_is_capped_by_its_bytes():
@@ -283,7 +387,7 @@ def test_pair_scan_is_capped_by_its_bytes():
     for n, built in [(100, 1), (1000, 0)]:
         inst = generate_instance(GeneratorConfig(n=n, m=m, q=0.3, seed=5), 0)
         with (
-            _pair_path(PAIR_SCAN),
+            _pair_path(UNION),
             mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap),
             mock.patch.object(scpkit.solvers, "_PairScan", wraps=scpkit.solvers._PairScan) as spy,
         ):
@@ -337,7 +441,8 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
         inst = generate_instance(GeneratorConfig(n=n, m=m, q=0.3, seed=5), 0)
         tracemalloc.start()
         try:
-            scan = _PairScan(inst.masks, n)
+            with _pair_path(UNION):
+                scan = _PairScan(inst.masks, n)
             scan.mark_chosen(3)
             scan.best((1 << n) - 1)
             peak = tracemalloc.get_traced_memory()[1]
@@ -373,6 +478,41 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
                 tracemalloc.stop()
         assert sizes.tolist() == [big_step_greedy(inst, p)[0].size for inst in batch]
         assert peak <= cap + 8 * p * width
+
+
+def test_pruned_pair_scan_peaks_stay_far_below_the_union_figure():
+    from scpkit import GeneratorConfig, generate_instance
+    from scpkit.solvers import _PairScan, _pair_bytes
+
+    n, m, words = 1000, 400, 16
+    union_figure = m * (m - 1) // 2 * _pair_bytes(words)
+    # a sparse solve, every step pruned
+    inst = generate_instance(GeneratorConfig(n=n, m=m, q=0.05, seed=5), 0)
+    tracemalloc.start()
+    try:
+        big_step_greedy(inst, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= union_figure // 8
+    # 150 disjoint sets of 6 elements and 250 of 5: the C(150, 2) pairs of the
+    # first, 14% of all pairs, tie on bound and gain, and a 100 kB cap takes
+    # them in dozens of slices
+    family = [range(6 * k, 6 * k + 6) for k in range(150)]
+    family += [range(900 + 5 * (k % 20), 905 + 5 * (k % 20)) for k in range(250)]
+    inst = Instance.from_memberships(n, family)
+    cap = 100_000
+    with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
+        tracemalloc.start()
+        try:
+            scan = _PairScan(inst.masks, n)
+            best = scan.best((1 << n) - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert best == ((0, 1), 12)
+    assert scan._unions is None
+    assert peak <= cap + 4 * 8 * m * words
 
 
 def test_classical_greedy_matches_reference_on_generated_instances():
