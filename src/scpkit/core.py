@@ -179,9 +179,15 @@ class SolveTrace:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
+def uncoverable_elements(instance: Instance) -> tuple[int, ...]:
+    """The elements that no set contains, ascending; empty iff a cover exists."""
+    reach = instance.union_of(range(instance.m)).bits
+    return ElementSet(((1 << instance.n) - 1) & ~reach, instance.n).elements()
+
+
 def is_feasible(instance: Instance) -> bool:
     """True iff the union of all sets equals the full universe."""
-    return instance.union_of(range(instance.m)).bits == (1 << instance.n) - 1
+    return not uncoverable_elements(instance)
 
 
 def validate_cover(instance: Instance, cover: "CoverSolution | Sequence[int]") -> bool:

@@ -10,15 +10,11 @@ lexicographically smallest index tuple), so repeated calls return identical
 traces.  Campaigns use ``_batch_cover_sizes``, which runs big-step greedy at
 any p over a batch of packed instances and returns only their cover sizes.
 
-A p=2 solve with enough pairs scans them with ``_PairScan``.  Its steps
-score only the pairs that can still win: a pair's gain is at most the sum of
-its two sets' own gains (coverage is subadditive, the bound of Minoux's
-accelerated greedy), and the exact gain of the two sets with the highest
-gains is a lower bound on the best pair's, so a pair whose bound is below it
-cannot win.  That keeps every winner, gain and ``candidates_evaluated``
-(C(u, 2) by construction) as they were.  Where the bound leaves too many
-pairs, or the instance has few pair-words, a step scans the held unions of
-all pairs instead, built the first time a step needs them.
+A ``big_step_greedy`` step is scored one of three ways: a k=1 step by an int
+loop, a pair step of a p=2 solve by ``_PairScan``, which skips the pairs that
+the subadditivity bound of Minoux's accelerated greedy rules out, and any
+other step by ``_best_subsets``, the campaign kernel's scorer.  None masks
+the chosen sets, and each gives the winners of plain enumeration.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -36,6 +33,7 @@ from .core import (
     SolveStep,
     SolveTrace,
     UncoverableError,
+    uncoverable_elements,
 )
 
 
@@ -43,13 +41,9 @@ class OracleBudgetError(RuntimeError):
     """The exact oracle hit its node budget before proving optimality."""
 
 
-# The numpy pair scan repays its setup from 378 pairs (m=28) in n=100 campaign
-# rows; forced scan vs loop at q=0.3 crosses over at m=20-24 for n=64 and m=30-40
-# for n=1000, so one pair count serves every n.  It governs single-instance
-# solves only: campaign rows go through _batch_cover_sizes.
-_VECTOR_PAIR_MIN = 378
-# Peak bytes of a pair scan, pairs * _pair_bytes(words), above which the plain
-# k=2 loop runs; in _batch_cover_sizes, the bytes of one candidate slice.
+# Peak bytes of _PairScan's held unions of all pairs, pairs * _pair_bytes(words),
+# above which it scores every pair in slices instead; elsewhere, the bytes of
+# one candidate slice.
 _PAIR_SCAN_MAX_BYTES = 160_000_000
 # Bytes one _batch_cover_sizes call may use; sets the sub-batch size.
 _BATCH_MAX_BYTES = 1_000_000
@@ -75,8 +69,8 @@ def _pair_bytes(words: int) -> int:
 def classical_greedy(instance: Instance) -> tuple[CoverSolution, SolveTrace]:
     """Cover by repeatedly adding the set with the most uncovered elements.
 
-    Ties go to the lowest set index.  Raises ``UncoverableError`` when the
-    best marginal gain hits zero while elements remain uncovered.
+    Ties go to the lowest set index.  Raises ``UncoverableError``, naming
+    the elements in no set, before any step runs.
     """
     return big_step_greedy(instance, 1)
 
@@ -84,77 +78,67 @@ def classical_greedy(instance: Instance) -> tuple[CoverSolution, SolveTrace]:
 def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTrace]:
     """Cover by adding, each step, the best k-subset of unchosen sets.
 
-    Each step enumerates all k-subsets of the unchosen set indices, where
-    k = min(p, number of unchosen sets), and selects the subset whose union
-    covers the most uncovered elements; ties go to the lexicographically
-    smallest sorted index tuple.  The step that can finish the cover (best
-    gain equals the uncovered count) instead adds a minimum-cardinality
-    finisher: subsets of the unchosen sets tried by increasing size 1..k,
-    lexicographically within a size, first one covering the remainder wins.
-    So the final step adds no redundant sets.  Indices are appended in
-    ascending order within a step.
+    Each step selects, among all k-subsets of the unchosen set indices, where
+    k = min(p, number of unchosen sets), the subset whose union covers the
+    most uncovered elements; ties go to the lexicographically smallest sorted
+    index tuple.  The step that can finish the cover (best gain equals the
+    uncovered count) instead adds a minimum-cardinality finisher: subsets of
+    the unchosen sets tried by increasing size 1..k, lexicographically within
+    a size, first one covering the remainder wins.  So the final step adds no
+    redundant sets.  Indices are appended in ascending order within a step.
 
-    One iteration scores all C(u, k) candidate subsets (u = number of unchosen
-    sets), which keeps the whole run polynomial for fixed p; each step's
-    ``candidates_evaluated`` is C(u, k) by construction.
+    Raises ``UncoverableError``, naming the elements in no set, before any
+    step runs.  Steps score the subsets of all sets, chosen ones gaining 0,
+    as ``_batch_cover_sizes`` does, and its docstring shows why the winners
+    stay.  Each step's ``candidates_evaluated`` is C(u, k) by construction
+    (u = unchosen sets), which keeps the run polynomial for fixed p.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"step size p must be a positive integer, got {p!r}")
+    missing = uncoverable_elements(instance)
+    if missing:
+        raise UncoverableError(missing)
     masks = instance.masks
     n = instance.n
-    m = len(masks)
+    words = (n + 63) >> 6
     uncovered = (1 << n) - 1
-    unchosen = list(range(m))  # kept in ascending order
-    pair_scan: _PairScan | None = None
-    pair_bytes = _pair_bytes((n + 63) >> 6)
-    if p == 2 and _VECTOR_PAIR_MIN <= m * (m - 1) // 2 <= _PAIR_SCAN_MAX_BYTES // pair_bytes:
-        pair_scan = _PairScan(masks, n)
+    unchosen = list(range(len(masks)))  # kept in ascending order
+    pair_scan = _PairScan(masks, n) if p == 2 else None
+    rows = _rows(masks, words) if p > 2 else None
     chosen: list[int] = []
     covered = 0
     steps: list[SolveStep] = []
     while uncovered:
         u = len(unchosen)
         k = p if p < u else u
-        w_count = uncovered.bit_count()
-        candidates = math.comb(u, k)
-        winner: tuple[int, ...] = ()
-        gain = 0
         if k == 1:
+            winner, gain = (), 0
             for i in unchosen:
                 g = (masks[i] & uncovered).bit_count()
                 if g > gain:
                     gain = g
                     winner = (i,)
-        elif k == 2 and pair_scan is not None:
-            winner, gain = pair_scan.best(uncovered)
-        elif k == 2:
-            for i, j in itertools.combinations(unchosen, 2):
-                g = ((masks[i] | masks[j]) & uncovered).bit_count()
-                if g > gain:
-                    gain = g
-                    winner = (i, j)
+        elif pair_scan is not None:
+            winner, gain = pair_scan.best(uncovered, u)
         else:
-            for combo in itertools.combinations(unchosen, k):
-                union = 0
-                for i in combo:
-                    union |= masks[i]
-                g = (union & uncovered).bit_count()
-                if g > gain:
-                    gain = g
-                    winner = combo
-        if gain == 0:
-            raise UncoverableError(ElementSet(uncovered, n).elements())
-        if gain == w_count and len(winner) > 1:
+            hit = rows & _rows((uncovered,), words)
+            best, subset = _best_subsets(hit[:, None], k)
+            winner, gain = tuple(subset[:, 0].tolist()), int(best[0])
+        if gain == uncovered.bit_count() and len(winner) > 1:
             winner = _trim_to_finisher(masks, unchosen, uncovered, winner)
         for i in winner:
             unchosen.remove(i)
             chosen.append(i)
             covered |= masks[i]
-            if pair_scan is not None:
-                pair_scan.mark_chosen(i)
         uncovered &= ~covered
-        steps.append(SolveStep(winner, gain, candidates))
+        steps.append(SolveStep(winner, gain, math.comb(u, k)))
     return CoverSolution(tuple(chosen), ElementSet(covered, n)), SolveTrace(tuple(steps))
+
+
+def _rows(masks: tuple[int, ...], words: int) -> np.ndarray:
+    """Int masks as a (words, m) uint64 array: word w of mask i is [w, i]."""
+    raw = b"".join(s.to_bytes(words * 8, "little") for s in masks)
+    return np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), words).T.copy()
 
 
 def _trim_to_finisher(
@@ -178,76 +162,79 @@ def _trim_to_finisher(
 class _PairScan:
     """Max-gain scan over index pairs via word-packed masks.
 
+    Chosen sets need no mask, as ``big_step_greedy`` checks up front that
+    the instance can be covered: a chosen set gains 0, and the argument in
+    ``_batch_cover_sizes``' docstring carries over.
+
     A step first tries the bound-pruned scan.  Coverage is subadditive, so a
     pair's gain is at most g_i + g_j, the gains of its two sets alone.  The
-    exact gain L of the two live sets with the highest g, taken in a stable
+    exact gain L of the two sets with the highest g, taken in a stable
     descending order, is a lower bound on the step's best gain, so every best
     pair has g_i + g_j >= L: the scan computes exact gains for those
     candidates only, and the highest, ties to the lexicographically smallest
     (i, j), is the step's winner.  One ``searchsorted`` over the sorted g
     finds each set's candidates, and their gains are gathered in slices that
     fit ``_PAIR_SCAN_MAX_BYTES``.  At n=1000, m=400, q=0.05 a step scores
-    ~30 of the ~75,000 live pairs in the median.
+    ~30 of the ~75,000 unchosen pairs in the median.
 
-    The union scan is the fallback: it holds the union of every pair, laid
-    out in lexicographic order, so the first maximum found by ``argmax`` is
-    the tie-rule winner, and pairs touching a chosen set score 0.  It runs
-    when the pair-words, C(m, 2) * words, are below
-    ``_PRUNE_MIN_PAIR_WORDS``, and on a step whose bound leaves more than
-    ``_PRUNE_MAX_SHARE`` of the live pairs; its unions are built on the first
-    step that needs them, so a scan that prunes every step never builds them.
+    Scoring every pair is the fallback.  It runs when the pair-words,
+    C(m, 2) * words, are below ``_PRUNE_MIN_PAIR_WORDS``, and on a step whose
+    bound leaves more than ``_PRUNE_MAX_SHARE`` of the C(u, 2) unchosen
+    pairs.  It scans the held unions of all pairs, laid out in lexicographic
+    order so that the first maximum ``argmax`` finds is the tie-rule winner,
+    built on the first step that needs them; where they would pass
+    ``_PAIR_SCAN_MAX_BYTES``, ``_best_subsets`` scores the pairs in slices
+    instead.  So a scan that prunes every step never builds the unions.
     """
 
     def __init__(self, masks: tuple[int, ...], n: int):
         m = len(masks)
         words = (n + 63) >> 6
-        raw = b"".join(s.to_bytes(words * 8, "little") for s in masks)
         self._masks = masks
-        # word w of set i is self._rows[w, i]
-        self._rows = np.frombuffer(raw, dtype=np.uint64).reshape(m, words).T.copy()
-        self._alive_flags = np.ones(m, dtype=bool)
-        # n + 1 for a chosen set: below any live set's -gain, it pairs with none
-        self._dead = np.zeros(m, dtype=np.int32)
-        self._n = n
-        self._live = m
+        self._rows = _rows(masks, words)
         self._prune = m * (m - 1) // 2 * words >= _PRUNE_MIN_PAIR_WORDS
+        self._held = m * (m - 1) // 2 * _pair_bytes(words) <= _PAIR_SCAN_MAX_BYTES
         self._iu = self._ju = self._unions = None
 
-    def mark_chosen(self, i: int) -> None:
-        self._alive_flags[i] = False
-        self._dead[i] = self._n + 1
-        self._live -= 1
-
-    def best(self, uncovered: int) -> tuple[tuple[int, ...], int]:
-        w = np.frombuffer(uncovered.to_bytes(self._rows.shape[0] * 8, "little"), dtype=np.uint64)
+    def best(self, uncovered: int, u: int) -> tuple[tuple[int, ...], int]:
+        """The step's winning pair and its gain, with u sets unchosen."""
+        w = _rows((uncovered,), self._rows.shape[0])
         if self._prune:
-            found = self._pruned_best(uncovered, w)
+            found = self._pruned_best(uncovered, self._rows & w, u)
             if found is not None:
                 return found
-        return self._union_best(w)
+        if self._held:
+            return self._union_best(w[:, 0])
+        gain, pair = _best_subsets((self._rows & w)[:, None], 2)
+        return tuple(pair[:, 0].tolist()), int(gain[0])
 
-    def _pruned_best(self, uncovered: int, w: np.ndarray) -> tuple[tuple[int, ...], int] | None:
-        # None when the bound leaves more than _PRUNE_MAX_SHARE of the live pairs.
-        hit = self._rows & w[:, None]
+    def _pruned_best(
+        self, uncovered: int, hit: np.ndarray, u: int
+    ) -> tuple[tuple[int, ...], int] | None:
+        # None when the bound leaves more than _PRUNE_MAX_SHARE of the unchosen pairs.
         neg = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
-        np.subtract(self._dead, neg, out=neg)  # -g, chosen sets n + 1
+        np.negative(neg, out=neg)
         order = np.argsort(neg, kind="stable")
         top, second = self._masks[order[0]], self._masks[order[1]]
         bound = ((top | second) & uncovered).bit_count()
         # Row a of the sets in that order pairs with the b > a where
         # g[a] + g[b] >= bound; as g falls, so does each row's count, so the
-        # rows that have one lead.
-        neg = neg[order]
+        # rows that have one lead.  Sets that gain 0, chosen ones among them,
+        # pair with none once two sets gain: such a pair gains what its other
+        # set does alone, which, the instance being coverable, some pair of
+        # gaining sets beats unless that set finishes the cover, where the
+        # finisher trim settles the step.
+        neg = neg[order][: max(2, np.count_nonzero(neg))]
         counts = np.searchsorted(neg, -bound - neg, side="right") - np.arange(1, neg.size + 1)
         counts = counts[: np.count_nonzero(counts > 0)]
         ends = np.cumsum(counts)
-        if ends[-1] > _PRUNE_MAX_SHARE * (self._live * (self._live - 1) // 2):
+        if ends[-1] > _PRUNE_MAX_SHARE * (u * (u - 1) // 2):
             return None
-        hit = np.take(hit, order, axis=1)
+        hit = np.take(hit, order[: neg.size], axis=1)
         # Slices of whole rows, each within the cap for its two gathers unless
         # one row alone is over it.
         width = max(1, _PAIR_SCAN_MAX_BYTES // (2 * _pair_bytes(hit.shape[0])))
-        m = neg.size
+        m = order.size
         gain, key = -1, 0
         start = 0
         while start < counts.size:
@@ -272,13 +259,12 @@ class _PairScan:
 
     def _union_best(self, w: np.ndarray) -> tuple[tuple[int, ...], int]:
         if self._unions is None:
-            self._iu, self._ju = np.triu_indices(self._alive_flags.size, k=1)
+            self._iu, self._ju = np.triu_indices(self._rows.shape[1], k=1)
             self._unions = []
             for row in self._rows:
                 union = row[self._iu]
                 union |= row[self._ju]
                 self._unions.append(union)
-        alive = self._alive_flags[self._iu] & self._alive_flags[self._ju]
         counts = np.bitwise_count(self._unions[0] & w[0])
         if len(self._unions) == 2:
             counts = counts + np.bitwise_count(self._unions[1] & w[1])
@@ -286,9 +272,8 @@ class _PairScan:
             counts = counts.astype(np.int32)
             for wi in range(1, len(self._unions)):
                 counts += np.bitwise_count(self._unions[wi] & w[wi])
-        gains = np.where(alive, counts, 0)
-        b = int(np.argmax(gains))
-        return (int(self._iu[b]), int(self._ju[b])), int(gains[b])
+        b = int(np.argmax(counts))
+        return (int(self._iu[b]), int(self._ju[b])), int(counts[b])
 
 
 def _batch_size(n: int, m: int, p: int) -> int:
@@ -367,21 +352,15 @@ def _batch_cover_sizes(sets: np.ndarray, n: int, p: int) -> np.ndarray:
 
 def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # Gain and (k, N) indices of each instance's first best k-subset of its
-    # (words, N, m) uncovered bits, in slices whose temporaries fit the cap (a
-    # layout above it is built slice by slice); a later slice wins only if larger.
+    # (words, N, m) uncovered bits, in slices whose temporaries fit the cap;
+    # a later slice wins only if larger.
     words, rows, m = hit.shape
     if k == 1:
         gains = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
         best = gains.argmax(axis=1)
         return gains[np.arange(rows), best], best[None]
-    count = math.comb(m, k)
-    width = max(1, _PAIR_SCAN_MAX_BYTES // (rows * _pair_bytes(words)))
-    held = 8 * k * count <= _PAIR_SCAN_MAX_BYTES
-    combos = itertools.combinations(range(m), k)
     gain = winner = None
-    for start in range(0, count, width):
-        layout = (_layout(m, k)[:, start : start + width] if held else
-                  np.fromiter(combos, np.dtype((np.intp, k)), min(width, count - start)).T)
+    for layout in _layouts(m, k, max(1, _PAIR_SCAN_MAX_BYTES // (rows * _pair_bytes(words)))):
         gains = np.zeros((rows, layout.shape[1]), dtype=np.int32)
         for w in range(words):
             union = hit[w][:, layout[0]]
@@ -398,20 +377,37 @@ def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return gain, winner
 
 
+def _layouts(m: int, k: int, width: int) -> Iterator[np.ndarray]:
+    # _layout(m, k) in slices of at most max(width, m ** e) subsets.  Where it
+    # would pass the cap, slices of the largest layout within it, of e fewer
+    # sets per subset (single sets at least), are extended e times instead.
+    held = k
+    while held > 1 and 8 * held * math.comb(m, held) > _PAIR_SCAN_MAX_BYTES:
+        held -= 1
+    step = max(1, width // m ** (k - held))
+    for start in range(0, math.comb(m, held), step):
+        layout = _layout(m, held)[:, start : start + step]
+        for _ in range(held, k):
+            layout = _extend(layout, m)
+        if layout.size:  # subsets that all end at m - 1 have no extension
+            yield layout
+
+
 @functools.lru_cache(maxsize=8)
 def _layout(m: int, k: int) -> np.ndarray:
     # The k-subsets of range(m) in lexicographic order as k contiguous index
-    # rows: each (k-1)-subset, ending at set l, followed by l+1, ..., m-1 in
-    # turn.  Read-only, as it is shared; the cache holds a row's k up to 8.
-    if k == 1:
-        layout = np.arange(m)[None]
-    else:
-        prev = _layout(m, k - 1)
-        counts = m - 1 - prev[-1]
-        tail = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - m, counts)
-        layout = np.vstack([np.repeat(prev, counts, axis=1), tail])
+    # rows.  Read-only, as it is shared; the cache holds a row's k up to 8.
+    layout = np.arange(m)[None] if k == 1 else _extend(_layout(m, k - 1), m)
     layout.flags.writeable = False
     return layout
+
+
+def _extend(prev: np.ndarray, m: int) -> np.ndarray:
+    # Each subset of a lexicographic run, ending at set l, followed by
+    # l+1, ..., m-1 in turn: the run's extensions, in lexicographic order.
+    counts = m - 1 - prev[-1]
+    tail = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - m, counts)
+    return np.vstack([np.repeat(prev, counts, axis=1), tail])
 
 
 def _uncoverable(sets: np.ndarray, n: int) -> UncoverableError:
@@ -441,11 +437,11 @@ def exact_min_cover(
     """
     if budget_limit is not None and budget_limit < 1:
         raise ValueError(f"budget_limit must be a positive integer, got {budget_limit!r}")
+    missing = uncoverable_elements(instance)
+    if missing:
+        raise UncoverableError(missing)
     n = instance.n
     full = (1 << n) - 1
-    union_all = instance.union_of(range(instance.m)).bits
-    if union_all != full:
-        raise UncoverableError(ElementSet(full & ~union_all, n).elements())
     masks = instance.masks
     active = list(range(len(masks)))
     if prune_dominated:

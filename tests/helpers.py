@@ -32,9 +32,10 @@ def ref_greedy(n, family):
 
 
 def ref_bigstep(n, family, p):
+    """The sets each big step adds, one tuple per step."""
     uncovered = set(range(n))
     avail = list(range(len(family)))  # stays ascending; removals keep order
-    chosen = []
+    steps = []
     while uncovered:
         k = min(p, len(avail))
         best_gain, winner = 0, None
@@ -60,9 +61,9 @@ def ref_bigstep(n, family, p):
                     break
         for i in winner:
             avail.remove(i)
-            chosen.append(i)
             uncovered -= family[i]
-    return chosen
+        steps.append(winner)
+    return steps
 
 
 def brute_min_size(n, family):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from unittest import mock
@@ -10,18 +11,47 @@ from scpkit import Instance, UncoverableError, big_step_greedy, classical_greedy
 
 from helpers import families, pack_masks, ref_bigstep, ref_greedy, to_instance
 
-# Settings that force every p=2 pair step onto one path: _PairScan's
-# bound-pruned scan, its union scan, or the plain k=2 loop
-PRUNED = {"_VECTOR_PAIR_MIN": 0, "_PRUNE_MIN_PAIR_WORDS": 0, "_PRUNE_MAX_SHARE": 1.0}
-UNION = {"_VECTOR_PAIR_MIN": 0, "_PRUNE_MIN_PAIR_WORDS": 2**63}
-LOOP = {"_VECTOR_PAIR_MIN": 10**9}
-PAIR_PATHS = (PRUNED, UNION, LOOP)
-# _PairScan at any size: pruned steps, and union steps where the share rule says
-SHARE_RULE = {"_VECTOR_PAIR_MIN": 0, "_PRUNE_MIN_PAIR_WORDS": 0}
+# Settings that force every p=2 pair step of _PairScan onto one scorer: the
+# bound-pruned scan, or every pair scored from the held unions of all pairs
+PRUNED = {"_PRUNE_MIN_PAIR_WORDS": 0, "_PRUNE_MAX_SHARE": 1.0}
+UNION = {"_PRUNE_MIN_PAIR_WORDS": 2**63}
+# pruned steps at any size, and every pair scored where the share rule says
+SHARE_RULE = {"_PRUNE_MIN_PAIR_WORDS": 0}
+
+
+def _subsets(inst):
+    """Settings under which every p=2 pair step of inst scores every pair
+    through _best_subsets: no pruning, and a cap one byte below the held
+    unions of all pairs, so two slices."""
+    held = math.comb(inst.m, 2) * scpkit.solvers._pair_bytes((inst.n + 63) // 64)
+    return {**UNION, "_PAIR_SCAN_MAX_BYTES": max(1, held - 1)}
+
+
+def _pair_paths(inst):
+    return (PRUNED, UNION, _subsets(inst))
 
 
 def _pair_path(path):
-    return mock.patch.multiple(scpkit.solvers, **path)
+    # {} is the default routing
+    return mock.patch.multiple(scpkit.solvers, **path) if path else contextlib.nullcontext()
+
+
+def _full_scan(inst):
+    """inst at p=2 with every pair scored, by the held unions and by
+    _best_subsets, which must agree."""
+    with _pair_path(UNION):
+        union = big_step_greedy(inst, 2)
+    with _pair_path(_subsets(inst)):
+        assert big_step_greedy(inst, 2) == union
+    return union
+
+
+def _groups(trace):
+    return [step.chosen for step in trace.steps]
+
+
+def _family(inst):
+    return [set(s) for s in inst.sets]
 
 
 def _kernel_sizes(instances, p):
@@ -105,18 +135,17 @@ def test_infeasible_instance_raises_with_elements():
     with pytest.raises(UncoverableError) as err:
         classical_greedy(inst)
     assert set(err.value.elements) == {3, 4}
-    for path in PAIR_PATHS:
+    for path in _pair_paths(inst):
         with _pair_path(path), pytest.raises(UncoverableError) as err:
             big_step_greedy(inst, 2)
         assert set(err.value.elements) == {3, 4}
-    # wide: the last sets leave three elements uncovered, so a pruned step
-    # sees every live set gain 0
+    # wide: three elements in no set
     from scpkit import GeneratorConfig, generate_instance
 
     gone = 1 << 5 | 1 << 500 | 1 << 999
     base = generate_instance(GeneratorConfig(n=1000, m=120, q=0.1, seed=4), 0)
     wide = Instance(1000, tuple(mask & ~gone for mask in base.masks))
-    for path in PAIR_PATHS:
+    for path in _pair_paths(wide):
         with _pair_path(path), pytest.raises(UncoverableError) as err:
             big_step_greedy(wide, 2)
         assert err.value.elements == (5, 500, 999)
@@ -127,6 +156,26 @@ def test_infeasible_instance_raises_with_elements():
         with pytest.raises(UncoverableError) as err:
             _kernel_sizes([inst], p)
         assert err.value.elements == (3, 4)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 12])
+def test_uncoverable_family_raises_before_any_step_is_scored(p):
+    # Without the check up front, p=12 would score C(30, 12) subsets first.
+    from scpkit import GeneratorConfig, exact_min_cover, generate_instance
+
+    gone = 1 << 3 | 1 << 70 | 1 << 99
+    base = generate_instance(GeneratorConfig(n=100, m=30, q=0.3, seed=4), 0)
+    inst = Instance(100, tuple(mask & ~gone for mask in base.masks))
+    scored = AssertionError("a step was scored")
+    with mock.patch.multiple(
+        scpkit.solvers,
+        _best_subsets=mock.Mock(side_effect=scored),
+        _PairScan=mock.Mock(side_effect=scored),
+    ):
+        for solve in (lambda i: big_step_greedy(i, p), exact_min_cover):
+            with pytest.raises(UncoverableError) as err:
+                solve(inst)
+            assert err.value.elements == (3, 70, 99)
 
 
 def test_all_empty_sets_is_infeasible():
@@ -150,20 +199,42 @@ def test_greedy_matches_reference(nf):
 @given(families(max_n=130), st.integers(1, 4))
 @settings(max_examples=200)
 def test_bigstep_matches_reference(nf, p):
-    # every big-step path, forced: at these sizes the default picks the loop,
-    # and the batch kernel gives the cover size alone, also with a cap so low
-    # that it scans a few subsets per slice from layouts built slice by slice
+    # every pair scorer, forced, and the default routing, step by step; the
+    # batch kernel gives the cover size alone, also with a cap so low that it
+    # scans a few subsets per slice from layouts built slice by slice
     n, family = nf
     inst = to_instance(n, family)
     expected = ref_bigstep(n, family, p)
-    for path in PAIR_PATHS:
+    for path in (*_pair_paths(inst), {}):
         with _pair_path(path):
-            cover, _ = big_step_greedy(inst, p)
-        assert list(cover.chosen) == expected
+            cover, trace = big_step_greedy(inst, p)
+        assert _groups(trace) == expected
         assert validate_cover(inst, cover)
-    assert _kernel_sizes([inst], p) == [len(expected)]
+    size = sum(map(len, expected))
+    assert _kernel_sizes([inst], p) == [size]
     with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 200):
-        assert _kernel_sizes([inst], p) == [len(expected)]
+        assert _kernel_sizes([inst], p) == [size]
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_bigstep_p3_p4_traces_match_the_reference(p):
+    """Whole traces at p=3 and 4, whose steps _best_subsets scores, at the
+    oracle workload's shape and at n on and around the 64-bit word
+    boundaries."""
+    from scpkit import GeneratorConfig, generate_instance
+
+    shapes = [(100, 25, 0.3)] + [(n, 20, 0.3) for n in (63, 64, 65, 129)]
+    for seed, (n, m, q) in enumerate(shapes):
+        config = GeneratorConfig(n=n, m=m, q=q, seed=seed)
+        for index in range(3):
+            inst = generate_instance(config, index)
+            cover, trace = big_step_greedy(inst, p)
+            assert _groups(trace) == ref_bigstep(n, _family(inst), p)
+            unchosen = m
+            for step in trace.steps:
+                assert step.candidates_evaluated == math.comb(unchosen, min(p, unchosen))
+                unchosen -= len(step.chosen)
+            assert validate_cover(inst, cover)
 
 
 @given(families(max_n=130, feasible=False), st.integers(1, 3))
@@ -253,7 +324,9 @@ def test_solvers_are_deterministic(example1):
 
 
 def test_pair_scan_matches_plain_enumeration():
-    """The vectorized pair path and the int loop must pick identical traces."""
+    """The pruned scan, the share rule and the default routing against every
+    pair scored, and on the first instances of each case against the
+    set-based reference."""
     from scpkit import GeneratorConfig, generate_instance
 
     # n at and around the 64-bit word boundaries of the packed masks
@@ -271,29 +344,30 @@ def test_pair_scan_matches_plain_enumeration():
         config = GeneratorConfig(n=n, m=m, q=q, seed=seed)
         for index in range(25):
             inst = generate_instance(config, index)
-            with _pair_path(LOOP):
-                slow = big_step_greedy(inst, 2)
-            for path in (PRUNED, UNION):
+            full = _full_scan(inst)
+            if index < 3:
+                assert _groups(full[1]) == ref_bigstep(n, _family(inst), 2)
+            for path in (PRUNED, SHARE_RULE, {}):
                 with _pair_path(path):
-                    assert big_step_greedy(inst, 2) == slow
+                    assert big_step_greedy(inst, 2) == full
 
 
 def test_pair_scan_survives_wide_universes():
     # more than two 64-bit words per mask exercises the wide accumulation path
     memberships = [list(range(i, 150, 7)) for i in range(20)]
     inst = Instance.from_memberships(150, memberships)
-    with _pair_path(LOOP):
-        slow = big_step_greedy(inst, 2)
-    assert validate_cover(inst, slow[0])
-    for path in (PRUNED, UNION):
+    full = _full_scan(inst)
+    assert validate_cover(inst, full[0])
+    assert _groups(full[1]) == ref_bigstep(150, _family(inst), 2)
+    for path in (PRUNED, {}):
         with _pair_path(path):
-            assert big_step_greedy(inst, 2) == slow
+            assert big_step_greedy(inst, 2) == full
 
 
-def test_pruned_pair_scan_matches_the_loop_on_generated_instances():
-    """Whole traces of the pruned scan, alone and with union steps where the
-    bound leaves too many pairs, and of the default routing, against the k=2
-    loop, at n on and around the 64-bit word boundaries and at n=1000."""
+def test_pruned_pair_scan_matches_full_scans_on_generated_instances():
+    """Whole traces of the pruned scan, alone and with every pair scored where
+    the bound leaves too many pairs, and of the default routing, against every
+    pair scored, at n on and around the 64-bit word boundaries and at n=1000."""
     from scpkit import GeneratorConfig, generate_instance
 
     shapes = [(n, 120, 0.05, 4) for n in (63, 64, 65, 128, 129)]
@@ -303,17 +377,15 @@ def test_pruned_pair_scan_matches_the_loop_on_generated_instances():
         config = GeneratorConfig(n=n, m=m, q=q, seed=seed)
         for index in range(count):
             inst = generate_instance(config, index)
-            with _pair_path(LOOP):
-                slow = big_step_greedy(inst, 2)
-            for path in (PRUNED, SHARE_RULE):
+            full = _full_scan(inst)
+            for path in (PRUNED, SHARE_RULE, {}):
                 with _pair_path(path):
-                    assert big_step_greedy(inst, 2) == slow
-            assert big_step_greedy(inst, 2) == slow
+                    assert big_step_greedy(inst, 2) == full
 
 
 def test_sparse_wide_instances_never_build_the_pair_unions():
     """At n=1000, m=400, q=0.05 every pair step is settled by the pruned scan
-    and matches the k=2 loop; the union array is never built."""
+    and matches every pair scored; the union array is never built."""
     from scpkit import GeneratorConfig, generate_instance
 
     scan = scpkit.solvers._PairScan
@@ -335,8 +407,7 @@ def test_sparse_wide_instances_never_build_the_pair_unions():
             fast = big_step_greedy(inst, 2)
         assert len(pruned) == len(fast[1].steps)
         assert None not in pruned
-        with _pair_path(LOOP):
-            assert big_step_greedy(inst, 2) == fast
+        assert _full_scan(inst) == fast
 
 
 def _all_ties_families():
@@ -354,13 +425,11 @@ def _all_ties_families():
 @pytest.mark.parametrize("n, family", _all_ties_families())
 def test_pair_paths_agree_on_all_ties_families(n, family):
     inst = to_instance(n, family)
-    expected = ref_bigstep(n, family, 2)
-    with _pair_path(LOOP):
-        slow = big_step_greedy(inst, 2)
-    assert list(slow[0].chosen) == expected
-    for path in (PRUNED, UNION, SHARE_RULE):
+    full = _full_scan(inst)
+    assert _groups(full[1]) == ref_bigstep(n, family, 2)
+    for path in (PRUNED, SHARE_RULE, {}):
         with _pair_path(path):
-            assert big_step_greedy(inst, 2) == slow
+            assert big_step_greedy(inst, 2) == full
 
 
 def test_pruned_scan_keeps_the_tie_rule_across_slices():
@@ -372,28 +441,47 @@ def test_pruned_scan_keeps_the_tie_rule_across_slices():
     )
     with _pair_path(PRUNED), mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 1):
         scan = scpkit.solvers._PairScan(inst.masks, 10)
-        assert scan.best(2**10 - 1) == ((0, 1), 10)
+        assert scan.best(2**10 - 1, 4) == ((0, 1), 10)
 
 
-def test_pair_scan_is_capped_by_its_bytes():
-    # Same m at n=100 (2 words per mask) and n=1000 (16 words); a cap between
-    # the two scan sizes keeps the scan for the narrow instance only.
+def test_pair_scan_above_its_byte_cap_scores_pairs_in_slices():
+    """With the cap below the held unions of all pairs, a p=2 solve still
+    takes _PairScan, never builds the unions, peaks within the cap plus
+    O(m * words), and gives the reference trace: at pair-words below the
+    pruning gate, so that every step scores every pair, and on a sparse
+    instance where the pruned scan settles most steps."""
     from scpkit import GeneratorConfig, generate_instance
+    from scpkit.solvers import _PairScan, _pair_bytes
 
-    m = 30
-    pairs = m * (m - 1) // 2
-    pair_bytes = scpkit.solvers._pair_bytes
-    cap = (pairs * pair_bytes(2) + pairs * pair_bytes(16)) // 2
-    for n, built in [(100, 1), (1000, 0)]:
-        inst = generate_instance(GeneratorConfig(n=n, m=m, q=0.3, seed=5), 0)
+    for m, q in [(60, 0.3), (200, 0.05)]:
+        n, words = 1000, 16
+        inst = generate_instance(GeneratorConfig(n=n, m=m, q=q, seed=5), 0)
+        reference = _full_scan(inst)
+        cap = math.comb(m, 2) * _pair_bytes(words) // 4
+        scans = []
+
+        def build(*args):
+            scans.append(_PairScan(*args))
+            return scans[-1]
+
         with (
-            _pair_path(UNION),
             mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap),
-            mock.patch.object(scpkit.solvers, "_PairScan", wraps=scpkit.solvers._PairScan) as spy,
+            mock.patch.object(scpkit.solvers, "_PairScan", side_effect=build),
+            mock.patch.object(_PairScan, "_union_best", side_effect=AssertionError("held unions")),
         ):
-            cover, _ = big_step_greedy(inst, 2)
-        assert spy.call_count == built
-        assert list(cover.chosen) == ref_bigstep(n, [set(s) for s in inst.sets], 2)
+            tracemalloc.start()
+            try:
+                result = big_step_greedy(inst, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(scans) == 1
+        assert scans[0]._unions is None
+        assert result == reference
+        assert peak <= cap + 4 * 8 * m * words
+    # the set-based reference takes seconds at m=200, so the dense case only
+    dense = generate_instance(GeneratorConfig(n=1000, m=60, q=0.3, seed=5), 0)
+    assert _groups(_full_scan(dense)[1]) == ref_bigstep(1000, _family(dense), 2)
 
 
 def test_sliced_subset_scan_keeps_the_first_best_subset():
@@ -415,14 +503,18 @@ def test_sliced_subset_scan_keeps_the_first_best_subset():
                          for w in range(words)) for c in combos]
             expected_gain.append(max(gains))
             expected_winner.append(combos[gains.index(max(gains))])
-        # whole; slices of 3-55 subsets from the cached layout; the same
-        # slices from a layout one byte over the cap, built slice by slice
+        # whole; slices of 3-55 subsets from the cached layout; slices of a
+        # layout one byte over the cap, extended from the (k-1)-subsets; and
+        # at 100 and 0 bytes, from single sets, every layout from k=2 up extended
         layout_bytes = 8 * k * len(combos)
-        for cap in (scpkit.solvers._PAIR_SCAN_MAX_BYTES, layout_bytes, layout_bytes - 1):
+        for cap in (scpkit.solvers._PAIR_SCAN_MAX_BYTES, layout_bytes, layout_bytes - 1, 100, 0):
             with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
                 gain, winner = scpkit.solvers._best_subsets(hit, k)
+                slices = list(scpkit.solvers._layouts(m, k, cap // 100))
             assert gain.tolist() == expected_gain
             assert [tuple(w) for w in winner.T.tolist()] == expected_winner
+            assert [tuple(c) for c in np.hstack(slices).T.tolist()] == combos
+            assert all(0 < layout.shape[1] <= max(cap // 100, m ** (k - 1)) for layout in slices)
 
 
 def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
@@ -443,8 +535,7 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
         try:
             with _pair_path(UNION):
                 scan = _PairScan(inst.masks, n)
-            scan.mark_chosen(3)
-            scan.best((1 << n) - 1)
+            scan.best((1 << n) - 1, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,7 +597,7 @@ def test_pruned_pair_scan_peaks_stay_far_below_the_union_figure():
         tracemalloc.start()
         try:
             scan = _PairScan(inst.masks, n)
-            best = scan.best((1 << n) - 1)
+            best = scan.best((1 << n) - 1, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -545,10 +636,10 @@ def test_classical_greedy_matches_reference_on_generated_instances():
 def test_bigstep_p3_step_with_two_sets_left(memberships, steps):
     n = 1 + max(e for ms in memberships for e in ms)
     inst = Instance.from_memberships(n, memberships)
-    cover, trace = big_step_greedy(inst, 3)
+    _, trace = big_step_greedy(inst, 3)
     assert [(s.chosen, s.newly_covered, s.candidates_evaluated) for s in trace.steps] == steps
     family = [set(ms) for ms in memberships]
-    assert list(cover.chosen) == ref_bigstep(n, family, 3)
+    assert _groups(trace) == ref_bigstep(n, family, 3)
 
 
 def test_bigstep_p3_runs_out_of_sets_after_two_left():
@@ -566,9 +657,8 @@ def test_bigstep_p3_matches_reference_when_two_sets_are_left():
     reached = 0
     for index in range(200):
         inst = generate_instance(config, index)
-        cover, trace = big_step_greedy(inst, 3)
-        family = [set(s) for s in inst.sets]
-        assert list(cover.chosen) == ref_bigstep(12, family, 3)
+        _, trace = big_step_greedy(inst, 3)
+        assert _groups(trace) == ref_bigstep(12, _family(inst), 3)
         left = 5 - sum(len(s.chosen) for s in trace.steps[:-1])
         if left == 2:
             reached += 1
