@@ -10,17 +10,17 @@ lexicographically smallest index tuple), so repeated calls return identical
 traces.  Campaigns use ``_batch_cover_sizes``, which runs big-step greedy at
 any p over a batch of packed instances and returns only their cover sizes.
 
-A ``big_step_greedy`` step is scored one of three ways: a k=1 step by an int
-loop, a pair step of a p=2 solve by ``_PairScan``, which skips the pairs that
-the subadditivity bound of Minoux's accelerated greedy rules out, and any
-other step by ``_best_subsets``, the campaign kernel's scorer.  None masks
-the chosen sets, and each gives the winners of plain enumeration.
+A ``big_step_greedy`` step is scored one of two ways: a pair step of a p=2
+solve by ``_PairScan``, which skips the pairs that the subadditivity bound of
+Minoux's accelerated greedy rules out, and any other step, k=1 and the
+finisher search included, by ``_best_subsets``, the campaign kernel's scorer.
+Neither masks the chosen sets, and both give the winners of plain
+enumeration.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Iterator
 
@@ -88,10 +88,11 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     redundant sets.  Indices are appended in ascending order within a step.
 
     Raises ``UncoverableError``, naming the elements in no set, before any
-    step runs.  Steps score the subsets of all sets, chosen ones gaining 0,
-    as ``_batch_cover_sizes`` does, and its docstring shows why the winners
-    stay.  Each step's ``candidates_evaluated`` is C(u, k) by construction
-    (u = unchosen sets), which keeps the run polynomial for fixed p.
+    step runs.  Steps and the finisher search score the subsets of all sets,
+    chosen ones gaining 0, as ``_batch_cover_sizes`` does, and its docstring
+    shows why the winners stay.  Each step's ``candidates_evaluated`` is
+    C(u, k) by construction (u = unchosen sets), which keeps the run
+    polynomial for fixed p.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"step size p must be a positive integer, got {p!r}")
@@ -101,31 +102,30 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     masks = instance.masks
     n = instance.n
     words = (n + 63) >> 6
+    rows = _rows(masks, words)
     uncovered = (1 << n) - 1
     unchosen = list(range(len(masks)))  # kept in ascending order
-    pair_scan = _PairScan(masks, n) if p == 2 else None
-    rows = _rows(masks, words) if p > 2 else None
+    pair_scan = _PairScan(masks, rows) if p == 2 else None
     chosen: list[int] = []
     covered = 0
     steps: list[SolveStep] = []
     while uncovered:
         u = len(unchosen)
         k = p if p < u else u
-        if k == 1:
-            winner, gain = (), 0
-            for i in unchosen:
-                g = (masks[i] & uncovered).bit_count()
-                if g > gain:
-                    gain = g
-                    winner = (i,)
-        elif pair_scan is not None:
-            winner, gain = pair_scan.best(uncovered, u)
+        w = _rows((uncovered,), words)
+        hit = rows & w
+        if k == 2 and pair_scan is not None:
+            winner, gain = pair_scan.best(uncovered, w, hit, u)
         else:
-            hit = rows & _rows((uncovered,), words)
-            best, subset = _best_subsets(hit[:, None], k)
-            winner, gain = tuple(subset[:, 0].tolist()), int(best[0])
-        if gain == uncovered.bit_count() and len(winner) > 1:
-            winner = _trim_to_finisher(masks, unchosen, uncovered, winner)
+            winner, gain = _best_subset(hit, k)
+        left = uncovered.bit_count()
+        if gain == left:
+            # the first subset of least size that gains the whole remainder
+            for r in range(1, k):
+                finisher, g = _best_subset(hit, r)
+                if g == left:
+                    winner = finisher
+                    break
         for i in winner:
             unchosen.remove(i)
             chosen.append(i)
@@ -141,22 +141,11 @@ def _rows(masks: tuple[int, ...], words: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), words).T.copy()
 
 
-def _trim_to_finisher(
-    masks: tuple[int, ...], unchosen: list[int], uncovered: int, winner: tuple[int, ...]
-) -> tuple[int, ...]:
-    # Smallest subset of the unchosen sets that covers the whole remainder,
-    # searched by size below k.  Size-k covering subsets have maximal gain,
-    # so the lex-first one is the already-selected winner: it is the
-    # fallback, and the search cannot fail.
-    k = len(winner)
-    for r in range(1, k):
-        for sub in itertools.combinations(unchosen, r):
-            union = 0
-            for i in sub:
-                union |= masks[i]
-            if union & uncovered == uncovered:
-                return sub
-    return winner
+def _best_subset(hit: np.ndarray, k: int) -> tuple[tuple[int, ...], int]:
+    """The first best k-subset of one instance's (words, m) uncovered bits,
+    and its gain."""
+    gain, subset = _best_subsets(hit[:, None], k)
+    return tuple(subset[:, 0].tolist()), int(gain[0])
 
 
 class _PairScan:
@@ -187,26 +176,27 @@ class _PairScan:
     instead.  So a scan that prunes every step never builds the unions.
     """
 
-    def __init__(self, masks: tuple[int, ...], n: int):
-        m = len(masks)
-        words = (n + 63) >> 6
+    def __init__(self, masks: tuple[int, ...], rows: np.ndarray):
+        words, m = rows.shape
         self._masks = masks
-        self._rows = _rows(masks, words)
+        self._rows = rows
         self._prune = m * (m - 1) // 2 * words >= _PRUNE_MIN_PAIR_WORDS
         self._held = m * (m - 1) // 2 * _pair_bytes(words) <= _PAIR_SCAN_MAX_BYTES
         self._iu = self._ju = self._unions = None
 
-    def best(self, uncovered: int, u: int) -> tuple[tuple[int, ...], int]:
-        """The step's winning pair and its gain, with u sets unchosen."""
-        w = _rows((uncovered,), self._rows.shape[0])
+    def best(
+        self, uncovered: int, w: np.ndarray, hit: np.ndarray, u: int
+    ) -> tuple[tuple[int, ...], int]:
+        """The step's winning pair and its gain, given the uncovered elements
+        as an int and packed as (words, 1), their bits in each set (``hit``,
+        (words, m)) and the u sets unchosen."""
         if self._prune:
-            found = self._pruned_best(uncovered, self._rows & w, u)
+            found = self._pruned_best(uncovered, hit, u)
             if found is not None:
                 return found
         if self._held:
             return self._union_best(w[:, 0])
-        gain, pair = _best_subsets((self._rows & w)[:, None], 2)
-        return tuple(pair[:, 0].tolist()), int(gain[0])
+        return _best_subset(hit, 2)
 
     def _pruned_best(
         self, uncovered: int, hit: np.ndarray, u: int
@@ -223,7 +213,7 @@ class _PairScan:
         # pair with none once two sets gain: such a pair gains what its other
         # set does alone, which, the instance being coverable, some pair of
         # gaining sets beats unless that set finishes the cover, where the
-        # finisher trim settles the step.
+        # finisher search settles the step.
         neg = neg[order][: max(2, np.count_nonzero(neg))]
         counts = np.searchsorted(neg, -bound - neg, side="right") - np.arange(1, neg.size + 1)
         counts = counts[: np.count_nonzero(counts > 0)]
@@ -305,7 +295,7 @@ def _batch_cover_sizes(sets: np.ndarray, n: int, p: int) -> np.ndarray:
     k-subsets of all m sets, k = 1..min(p, m), in lexicographic order, on the
     uncovered elements.  An instance finishes at the first k < min(p, m) where
     a k-subset gains its whole remainder, adding the first such subset (the
-    finisher trim's rule); otherwise it adds its first best min(p, m)-subset.
+    finisher search's rule); otherwise it adds its first best min(p, m)-subset.
     ``argmax`` keeps the scalar solvers' tie rule.
 
     Chosen sets need no mask: they cover nothing uncovered, so a candidate
@@ -447,6 +437,9 @@ def exact_min_cover(
     if prune_dominated:
         active = [i for i in active if not _is_dominated(masks, i)]
     covers_by_element = [[i for i in active if (masks[i] >> e) & 1] for e in range(n)]
+    # elements by the number of sets covering them; a stable sort keeps ties
+    # in index order, so the first uncovered one is the node's branch element
+    by_width = sorted(range(n), key=lambda e: len(covers_by_element[e]))
     nodes = 0
 
     def search(uncovered: int, depth: int) -> list[int] | None:
@@ -458,30 +451,13 @@ def exact_min_cover(
             )
         if not uncovered:
             return []
-        best_gain = 0
-        for i in active:
-            g = (masks[i] & uncovered).bit_count()
-            if g > best_gain:
-                best_gain = g
-        if best_gain == 0:
+        # over all sets: a dominated set never out-gains one that dominates it
+        gains = [(s & uncovered).bit_count() for s in masks]
+        if -(-uncovered.bit_count() // max(gains)) > depth:
             return None
-        if -(-uncovered.bit_count() // best_gain) > depth:
-            return None
-        branch_e = -1
-        branch_width = -1
-        bits = uncovered
-        while bits:
-            low = bits & -bits
-            e = low.bit_length() - 1
-            width = len(covers_by_element[e])
-            if branch_width < 0 or width < branch_width:
-                branch_width = width
-                branch_e = e
-            bits ^= low
-        order = sorted(
-            covers_by_element[branch_e],
-            key=lambda i: (-(masks[i] & uncovered).bit_count(), i),
-        )
+        branch_e = next(e for e in by_width if uncovered >> e & 1)
+        # by gain, highest first; a stable sort keeps ties in index order
+        order = sorted(covers_by_element[branch_e], key=gains.__getitem__, reverse=True)
         for i in order:
             result = search(uncovered & ~masks[i], depth - 1)
             if result is not None:

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings
 
 from scpkit import (
+    GeneratorConfig,
     Instance,
     OracleBudgetError,
     UncoverableError,
     big_step_greedy,
     classical_greedy,
     exact_min_cover,
+    generate_instance,
     validate_cover,
 )
 
@@ -44,6 +46,24 @@ def test_budget_exhaustion():
         exact_min_cover(inst, budget_limit=2)
     # a generous budget solves the same instance
     assert exact_min_cover(inst, budget_limit=100_000).size >= 4
+
+
+@pytest.mark.parametrize(
+    "index, nodes, chosen",
+    [
+        (0, 362, (0, 3, 13, 4, 5, 14, 10)),
+        (1, 50, (22, 5, 2, 24, 19, 18)),
+        (3, 1403, (24, 9, 6, 18, 21, 11, 10)),
+        (14, 526, (13, 23, 4, 22, 3, 8, 19)),
+    ],
+)
+def test_budget_counts_every_search_node(index, nodes, chosen):
+    # Oracle-sized draws (n=100, m=25, q=0.3): a budget of exactly the
+    # search's node count returns its cover, and one node less raises.
+    inst = generate_instance(GeneratorConfig(n=100, m=25, q=0.3, seed=505), index)
+    assert exact_min_cover(inst, budget_limit=nodes).chosen == chosen
+    with pytest.raises(OracleBudgetError):
+        exact_min_cover(inst, budget_limit=nodes - 1)
 
 
 def test_budget_validation(example1):

@@ -46,6 +46,16 @@ def _full_scan(inst):
     return union
 
 
+def _first_pair(inst):
+    """A _PairScan over inst, and the winning pair of its first step."""
+    words = (inst.n + 63) // 64
+    rows = scpkit.solvers._rows(inst.masks, words)
+    scan = scpkit.solvers._PairScan(inst.masks, rows)
+    uncovered = (1 << inst.n) - 1
+    w = scpkit.solvers._rows((uncovered,), words)
+    return scan, scan.best(uncovered, w, rows & w, inst.m)
+
+
 def _groups(trace):
     return [step.chosen for step in trace.steps]
 
@@ -97,6 +107,20 @@ def test_bigstep_p3_trims_winner_to_pair(example1):
     cover, trace = big_step_greedy(example1, 3)
     assert cover.chosen == (1, 2)
     assert trace.steps[0].candidates_evaluated == 10  # C(5, 3)
+
+
+def test_bigstep_p3_finisher_holds_no_chosen_set():
+    # After step 1, sets 3..6 are unchosen and elements 9 and 10 uncovered.
+    # The lexicographically first triple of all sets that covers them is
+    # (0, 3, 4), which holds the chosen set 0; the finisher is the pair (3, 4).
+    memberships = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9], [10], [9], [0]]
+    inst = Instance.from_memberships(11, memberships)
+    _, trace = big_step_greedy(inst, 3)
+    assert [(s.chosen, s.newly_covered, s.candidates_evaluated) for s in trace.steps] == [
+        ((0, 1, 2), 9, 35),
+        ((3, 4), 2, 4),
+    ]
+    assert _groups(trace) == ref_bigstep(11, [set(ms) for ms in memberships], 3)
 
 
 def test_bigstep_beats_greedy_on_small_derived_case():
@@ -440,8 +464,7 @@ def test_pruned_scan_keeps_the_tie_rule_across_slices():
         10, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [0, 1, 2, 5, 6, 7], [3, 4, 5, 6, 8, 9]]
     )
     with _pair_path(PRUNED), mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 1):
-        scan = scpkit.solvers._PairScan(inst.masks, 10)
-        assert scan.best(2**10 - 1, 4) == ((0, 1), 10)
+        assert _first_pair(inst)[1] == ((0, 1), 10)
 
 
 def test_pair_scan_above_its_byte_cap_scores_pairs_in_slices():
@@ -521,7 +544,6 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
     from scpkit import GeneratorConfig, generate_instance
     from scpkit.solvers import (
         _BATCH_MAX_BYTES,
-        _PairScan,
         _batch_cover_sizes,
         _batch_size,
         _pair_bytes,
@@ -534,8 +556,7 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
         tracemalloc.start()
         try:
             with _pair_path(UNION):
-                scan = _PairScan(inst.masks, n)
-            scan.best((1 << n) - 1, m)
+                _first_pair(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -573,7 +594,7 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
 
 def test_pruned_pair_scan_peaks_stay_far_below_the_union_figure():
     from scpkit import GeneratorConfig, generate_instance
-    from scpkit.solvers import _PairScan, _pair_bytes
+    from scpkit.solvers import _pair_bytes
 
     n, m, words = 1000, 400, 16
     union_figure = m * (m - 1) // 2 * _pair_bytes(words)
@@ -596,8 +617,7 @@ def test_pruned_pair_scan_peaks_stay_far_below_the_union_figure():
     with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
         tracemalloc.start()
         try:
-            scan = _PairScan(inst.masks, n)
-            best = scan.best((1 << n) - 1, m)
+            scan, best = _first_pair(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -608,20 +628,22 @@ def test_pruned_pair_scan_peaks_stay_far_below_the_union_figure():
 
 def test_classical_greedy_matches_reference_on_generated_instances():
     """classical_greedy is big_step_greedy(p=1); check the rule itself
-    against the set-based reference at the campaign's shapes."""
+    against the set-based reference at the campaign's shapes, around the
+    64-bit word boundaries and at n=1000."""
     from scpkit import GeneratorConfig, generate_instance
 
-    for q in (0.3, 0.4, 0.5):
-        for m in (10, 20, 35):
-            config = GeneratorConfig(n=100, m=m, q=q, seed=17)
-            for index in range(30):
-                inst = generate_instance(config, index)
-                family = [set(s) for s in inst.sets]
-                cover, trace = classical_greedy(inst)
-                assert list(cover.chosen) == ref_greedy(100, family)
-                assert [s.candidates_evaluated for s in trace.steps] == list(
-                    range(m, m - len(trace.steps), -1)
-                )
+    shapes = [(100, m, q, 30) for q in (0.3, 0.4, 0.5) for m in (10, 20, 35)]
+    # n at and around the 64-bit word boundaries, and one wide instance
+    shapes += [(n, 20, 0.3, 10) for n in (63, 64, 65, 129)] + [(1000, 60, 0.3, 1)]
+    for n, m, q, count in shapes:
+        config = GeneratorConfig(n=n, m=m, q=q, seed=17)
+        for index in range(count):
+            inst = generate_instance(config, index)
+            cover, trace = classical_greedy(inst)
+            assert list(cover.chosen) == ref_greedy(n, _family(inst))
+            assert [s.candidates_evaluated for s in trace.steps] == list(
+                range(m, m - len(trace.steps), -1)
+            )
 
 
 @pytest.mark.parametrize(
