@@ -7,9 +7,8 @@ from scpkit.solvers import big_step_greedy, classical_greedy
 
 # A wide sparse instance: big_step_greedy(p=2) scores, per step, only the
 # pairs whose bound g_i + g_j reaches the exact gain of the two best sets,
-# a handful of the C(400, 2) = 79,800 pairs, and never builds the unions of
-# all pairs.  The same scan with pruning off, which scores every pair, must
-# agree.
+# a handful of the C(400, 2) = 79,800 pairs.  The same solve with pruning
+# off, which scores every pair, must agree.
 inst = generate_instance(GeneratorConfig(n=1000, m=400, q=0.05, seed=2015), 0)
 
 

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Instance
+from .core import Instance, check_int
 from .generate import (
     FeasibilityPolicy,
     GeneratorConfig,
@@ -76,10 +76,8 @@ class CampaignSpec:
         object.__setattr__(self, "m_values", tuple(self.m_values))
         if not self.m_values:
             raise ValueError("m_values must be nonempty")
-        if not isinstance(self.p, int) or self.p < 1:
-            raise ValueError(f"step size p must be a positive integer, got {self.p!r}")
-        if not isinstance(self.count, int) or self.count < 0:
-            raise ValueError(f"count must be a non-negative integer, got {self.count!r}")
+        check_int("step size p", self.p)
+        check_int("count", self.count, 0)
         # n, m, q, seed, and policy limits are enforced by the generator config,
         # for every row up front so a bad m fails before any row has run
         for m in self.m_values:
@@ -137,8 +135,7 @@ def run_campaign(
     byte-identical to the sequential run because instance streams are keyed
     by index alone and tally merging is addition.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    check_int("workers", workers)
     rows: list[ComparisonRow] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

@@ -12,6 +12,26 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
+_INT_KINDS = {
+    (1, None): "a positive integer",
+    (0, None): "a non-negative integer",
+    (0, 2**64): "an unsigned 64-bit integer",
+}
+
+
+def check_int(name: str, value: object, low: int = 1, high: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int, not a bool, with
+    ``low <= value`` and, if ``high`` is given, ``value < high``.  The bounds
+    are one of the pairs of ``_INT_KINDS``, which name them in the message."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value >= high)
+    ):
+        raise ValueError(f"{name} must be {_INT_KINDS[low, high]}, got {value!r}")
+
+
 class UncoverableError(ValueError):
     """Some elements of the universe cannot be covered by the available sets."""
 

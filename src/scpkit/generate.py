@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, check_int
 from .solvers import _BATCH_MAX_BYTES
 
 
@@ -57,20 +57,16 @@ class GeneratorConfig:
     max_redraws: int = 10_000
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        check_int("n", self.n)
+        check_int("m", self.m)
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        check_int("seed", self.seed, 0, 2**64)
         if not isinstance(self.feasibility_policy, FeasibilityPolicy):
             object.__setattr__(
                 self, "feasibility_policy", FeasibilityPolicy(self.feasibility_policy)
             )
-        if not isinstance(self.max_redraws, int) or self.max_redraws < 1:
-            raise ValueError(f"max_redraws must be a positive integer, got {self.max_redraws!r}")
+        check_int("max_redraws", self.max_redraws)
 
 
 def generate_instance(config: GeneratorConfig, instance_index: int) -> Instance:
@@ -81,8 +77,7 @@ def generate_instance(config: GeneratorConfig, instance_index: int) -> Instance:
     first draw and ``config.max_redraws`` redraws are all rejected; under
     keep-raw the first draw is returned as-is, feasible or not.
     """
-    if not isinstance(instance_index, int) or instance_index < 0:
-        raise ValueError(f"instance_index must be a non-negative integer, got {instance_index!r}")
+    check_int("instance_index", instance_index, 0)
     return _build(_draws(config, [instance_index])[0], config.n)
 
 

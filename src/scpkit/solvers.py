@@ -10,12 +10,12 @@ lexicographically smallest index tuple), so repeated calls return identical
 traces.  Campaigns use ``_batch_cover_sizes``, which runs big-step greedy at
 any p over a batch of packed instances and returns only their cover sizes.
 
-A ``big_step_greedy`` step is scored one of two ways: a pair step of a p=2
-solve by ``_PairScan``, which skips the pairs that the subadditivity bound of
-Minoux's accelerated greedy rules out, and any other step, k=1 and the
-finisher search included, by ``_best_subsets``, the campaign kernel's scorer.
-Neither masks the chosen sets, and both give the winners of plain
-enumeration.
+A ``big_step_greedy`` step is scored one of two ways: a pair step of a wide
+p=2 solve by ``_pruned_pair``, which skips the pairs that the subadditivity
+bound of Minoux's accelerated greedy rules out, and any other step, a pair
+step whose bound leaves too many pairs, k=1 and the finisher search included,
+by ``_best_subsets``, the campaign kernel's scorer.  Neither masks the chosen
+sets, and both give the winners of plain enumeration.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .core import (
     SolveStep,
     SolveTrace,
     UncoverableError,
+    check_int,
     uncoverable_elements,
 )
 
@@ -41,28 +42,29 @@ class OracleBudgetError(RuntimeError):
     """The exact oracle hit its node budget before proving optimality."""
 
 
-# Peak bytes of _PairScan's held unions of all pairs, pairs * _pair_bytes(words),
-# above which it scores every pair in slices instead; elsewhere, the bytes of
-# one candidate slice.
+# Bytes of one candidate slice of _pruned_pair or _best_subsets.
 _PAIR_SCAN_MAX_BYTES = 160_000_000
 # Bytes one _batch_cover_sizes call may use; sets the sub-batch size.
 _BATCH_MAX_BYTES = 1_000_000
-# _PairScan's pruning rules: the pair-words, C(m, 2) * words, from which it
-# tries the bound-pruned scan, and the share of a step's live pairs above which
-# that step runs the union scan instead.  Forced pruning against the union scan
-# alone, whole p=2 solves at n=64, 100 and 1000: at 8k pair-words pruning took
-# 1.05-1.7x the time; at 16k 0.7-1.6x; at 32k 0.3-0.9x for q <= 0.2 and
-# 0.65-1.5x at q=0.3; from 64k 0.3-0.8x and 0.6-1.1x.  A share of 1/8 or 1/16
-# ran q=0.3 shapes above the gate at 0.9-1.9x, against 0.65-1.2x for 1/4, as
-# a step that falls back pays for its pruning attempt too.
+# The pruning rules of a p=2 solve: the pair-words, C(m, 2) * words, from
+# which its pair steps try _pruned_pair, and the share of a step's unchosen
+# pairs above which that step scores every pair instead.  Both were set against
+# a scan of held unions of all pairs, whole p=2 solves at n=64, 100 and 1000:
+# at 8k pair-words pruning took 1.05-1.7x the time; at 16k 0.7-1.6x; at 32k
+# 0.3-0.9x for q <= 0.2 and 0.65-1.5x at q=0.3; from 64k 0.3-0.8x and
+# 0.6-1.1x.  A share of 1/8 or 1/16 ran q=0.3 shapes above the gate at
+# 0.9-1.9x, against 0.65-1.2x for 1/4, as a step that falls back pays for its
+# pruning attempt too.  Against _best_subsets, pruning every step at n=100,
+# q=0.3, m=25 and 35 (600 and 1,190 pair-words) took 1.8-2.6x the time.
 _PRUNE_MIN_PAIR_WORDS = 2**15
 _PRUNE_MAX_SHARE = 0.25
 
 
 def _pair_bytes(words: int) -> int:
-    """Peak bytes per candidate subset (a pair scan's pair, or a subset of one
-    instance in ``_batch_cover_sizes``) over masks of ``words`` 64-bit words:
-    the unions (8 per word), two int64 index arrays (16) and 16 of temporaries."""
+    """Peak bytes per candidate subset (a pair that ``_pruned_pair`` scores,
+    or a subset of one instance in ``_best_subsets``) over masks of ``words``
+    64-bit words: the unions (8 per word), two int64 index arrays (16) and 16
+    of temporaries."""
     return 8 * words + 32
 
 
@@ -94,30 +96,24 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     C(u, k) by construction (u = unchosen sets), which keeps the run
     polynomial for fixed p.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"step size p must be a positive integer, got {p!r}")
+    check_int("step size p", p)
     missing = uncoverable_elements(instance)
     if missing:
         raise UncoverableError(missing)
     masks = instance.masks
-    n = instance.n
+    n, m = instance.n, len(masks)
     words = (n + 63) >> 6
     rows = _rows(masks, words)
+    prune = p == 2 and math.comb(m, 2) * words >= _PRUNE_MIN_PAIR_WORDS
     uncovered = (1 << n) - 1
-    unchosen = list(range(len(masks)))  # kept in ascending order
-    pair_scan = _PairScan(masks, rows) if p == 2 else None
     chosen: list[int] = []
-    covered = 0
     steps: list[SolveStep] = []
     while uncovered:
-        u = len(unchosen)
+        u = m - len(chosen)
         k = p if p < u else u
-        w = _rows((uncovered,), words)
-        hit = rows & w
-        if k == 2 and pair_scan is not None:
-            winner, gain = pair_scan.best(uncovered, w, hit, u)
-        else:
-            winner, gain = _best_subset(hit, k)
+        hit = rows & _rows((uncovered,), words)
+        found = _pruned_pair(hit, u) if k == 2 and prune else None
+        winner, gain = found or _best_subset(hit, k)
         left = uncovered.bit_count()
         if gain == left:
             # the first subset of least size that gains the whole remainder
@@ -126,13 +122,11 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
                 if g == left:
                     winner = finisher
                     break
+        chosen.extend(winner)
         for i in winner:
-            unchosen.remove(i)
-            chosen.append(i)
-            covered |= masks[i]
-        uncovered &= ~covered
+            uncovered &= ~masks[i]
         steps.append(SolveStep(winner, gain, math.comb(u, k)))
-    return CoverSolution(tuple(chosen), ElementSet(covered, n)), SolveTrace(tuple(steps))
+    return CoverSolution(tuple(chosen), instance.union_of(chosen)), SolveTrace(tuple(steps))
 
 
 def _rows(masks: tuple[int, ...], words: int) -> np.ndarray:
@@ -148,15 +142,14 @@ def _best_subset(hit: np.ndarray, k: int) -> tuple[tuple[int, ...], int]:
     return tuple(subset[:, 0].tolist()), int(gain[0])
 
 
-class _PairScan:
-    """Max-gain scan over index pairs via word-packed masks.
+def _pruned_pair(hit: np.ndarray, u: int) -> tuple[tuple[int, int], int] | None:
+    """The first best pair of one instance's (words, m) uncovered bits, and
+    its gain, scoring only the pairs that can still win; None when that
+    leaves more than ``_PRUNE_MAX_SHARE`` of the C(u, 2) pairs of the u sets
+    unchosen, as the step is then cheaper to score whole.
 
-    Chosen sets need no mask, as ``big_step_greedy`` checks up front that
-    the instance can be covered: a chosen set gains 0, and the argument in
-    ``_batch_cover_sizes``' docstring carries over.
-
-    A step first tries the bound-pruned scan.  Coverage is subadditive, so a
-    pair's gain is at most g_i + g_j, the gains of its two sets alone.  The
+    Coverage is subadditive, so a pair's gain is at most g_i + g_j, the gains
+    of its two sets alone (the bound of Minoux's accelerated greedy).  The
     exact gain L of the two sets with the highest g, taken in a stable
     descending order, is a lower bound on the step's best gain, so every best
     pair has g_i + g_j >= L: the scan computes exact gains for those
@@ -164,106 +157,54 @@ class _PairScan:
     (i, j), is the step's winner.  One ``searchsorted`` over the sorted g
     finds each set's candidates, and their gains are gathered in slices that
     fit ``_PAIR_SCAN_MAX_BYTES``.  At n=1000, m=400, q=0.05 a step scores
-    ~30 of the ~75,000 unchosen pairs in the median.
-
-    Scoring every pair is the fallback.  It runs when the pair-words,
-    C(m, 2) * words, are below ``_PRUNE_MIN_PAIR_WORDS``, and on a step whose
-    bound leaves more than ``_PRUNE_MAX_SHARE`` of the C(u, 2) unchosen
-    pairs.  It scans the held unions of all pairs, laid out in lexicographic
-    order so that the first maximum ``argmax`` finds is the tie-rule winner,
-    built on the first step that needs them; where they would pass
-    ``_PAIR_SCAN_MAX_BYTES``, ``_best_subsets`` scores the pairs in slices
-    instead.  So a scan that prunes every step never builds the unions.
+    ~30 of the ~75,000 unchosen pairs in the median.  Chosen sets need no
+    mask, as ``big_step_greedy`` checks up front that the instance can be
+    covered: a chosen set gains 0, and the argument in
+    ``_batch_cover_sizes``' docstring carries over.
     """
-
-    def __init__(self, masks: tuple[int, ...], rows: np.ndarray):
-        words, m = rows.shape
-        self._masks = masks
-        self._rows = rows
-        self._prune = m * (m - 1) // 2 * words >= _PRUNE_MIN_PAIR_WORDS
-        self._held = m * (m - 1) // 2 * _pair_bytes(words) <= _PAIR_SCAN_MAX_BYTES
-        self._iu = self._ju = self._unions = None
-
-    def best(
-        self, uncovered: int, w: np.ndarray, hit: np.ndarray, u: int
-    ) -> tuple[tuple[int, ...], int]:
-        """The step's winning pair and its gain, given the uncovered elements
-        as an int and packed as (words, 1), their bits in each set (``hit``,
-        (words, m)) and the u sets unchosen."""
-        if self._prune:
-            found = self._pruned_best(uncovered, hit, u)
-            if found is not None:
-                return found
-        if self._held:
-            return self._union_best(w[:, 0])
-        return _best_subset(hit, 2)
-
-    def _pruned_best(
-        self, uncovered: int, hit: np.ndarray, u: int
-    ) -> tuple[tuple[int, ...], int] | None:
-        # None when the bound leaves more than _PRUNE_MAX_SHARE of the unchosen pairs.
-        neg = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
-        np.negative(neg, out=neg)
-        order = np.argsort(neg, kind="stable")
-        top, second = self._masks[order[0]], self._masks[order[1]]
-        bound = ((top | second) & uncovered).bit_count()
-        # Row a of the sets in that order pairs with the b > a where
-        # g[a] + g[b] >= bound; as g falls, so does each row's count, so the
-        # rows that have one lead.  Sets that gain 0, chosen ones among them,
-        # pair with none once two sets gain: such a pair gains what its other
-        # set does alone, which, the instance being coverable, some pair of
-        # gaining sets beats unless that set finishes the cover, where the
-        # finisher search settles the step.
-        neg = neg[order][: max(2, np.count_nonzero(neg))]
-        counts = np.searchsorted(neg, -bound - neg, side="right") - np.arange(1, neg.size + 1)
-        counts = counts[: np.count_nonzero(counts > 0)]
-        ends = np.cumsum(counts)
-        if ends[-1] > _PRUNE_MAX_SHARE * (u * (u - 1) // 2):
-            return None
-        hit = np.take(hit, order[: neg.size], axis=1)
-        # Slices of whole rows, each within the cap for its two gathers unless
-        # one row alone is over it.
-        width = max(1, _PAIR_SCAN_MAX_BYTES // (2 * _pair_bytes(hit.shape[0])))
-        m = order.size
-        gain, key = -1, 0
-        start = 0
-        while start < counts.size:
-            done = int(ends[start - 1]) if start else 0
-            stop = max(start + 1, int(np.searchsorted(ends, done + width, side="right")))
-            c = counts[start:stop]
-            lead = np.arange(start, stop)
-            a = np.repeat(lead, c)
-            b = np.arange(a.size) + np.repeat(lead + 1 + done + c - ends[start:stop], c)
-            union = np.take(hit, a, axis=1)
-            union |= np.take(hit, b, axis=1)
-            gains = np.bitwise_count(union).sum(axis=0, dtype=np.int32)
-            best = int(gains.max())
-            if best >= gain:
-                tie = gains == best
-                i, j = order[a[tie]], order[b[tie]]
-                first = int((np.minimum(i, j) * m + np.maximum(i, j)).min())
-                if best > gain or first < key:
-                    gain, key = best, first
-            start = stop
-        return divmod(key, m), gain
-
-    def _union_best(self, w: np.ndarray) -> tuple[tuple[int, ...], int]:
-        if self._unions is None:
-            self._iu, self._ju = np.triu_indices(self._rows.shape[1], k=1)
-            self._unions = []
-            for row in self._rows:
-                union = row[self._iu]
-                union |= row[self._ju]
-                self._unions.append(union)
-        counts = np.bitwise_count(self._unions[0] & w[0])
-        if len(self._unions) == 2:
-            counts = counts + np.bitwise_count(self._unions[1] & w[1])
-        elif len(self._unions) > 2:
-            counts = counts.astype(np.int32)
-            for wi in range(1, len(self._unions)):
-                counts += np.bitwise_count(self._unions[wi] & w[wi])
-        b = int(np.argmax(counts))
-        return (int(self._iu[b]), int(self._ju[b])), int(counts[b])
+    neg = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
+    np.negative(neg, out=neg)
+    order = np.argsort(neg, kind="stable")
+    bound = int(np.bitwise_count(hit[:, order[0]] | hit[:, order[1]]).sum())
+    # Row a of the sets in that order pairs with the b > a where
+    # g[a] + g[b] >= bound; as g falls, so does each row's count, so the
+    # rows that have one lead.  Sets that gain 0, chosen ones among them,
+    # pair with none once two sets gain: such a pair gains what its other
+    # set does alone, which, the instance being coverable, some pair of
+    # gaining sets beats unless that set finishes the cover, where the
+    # finisher search settles the step.
+    neg = neg[order][: max(2, np.count_nonzero(neg))]
+    counts = np.searchsorted(neg, -bound - neg, side="right") - np.arange(1, neg.size + 1)
+    counts = counts[: np.count_nonzero(counts > 0)]
+    ends = np.cumsum(counts)
+    if ends[-1] > _PRUNE_MAX_SHARE * (u * (u - 1) // 2):
+        return None
+    hit = np.take(hit, order[: neg.size], axis=1)
+    # Slices of whole rows, each within the cap for its two gathers unless
+    # one row alone is over it.
+    width = max(1, _PAIR_SCAN_MAX_BYTES // (2 * _pair_bytes(hit.shape[0])))
+    m = order.size
+    gain, key = -1, 0
+    start = 0
+    while start < counts.size:
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + width, side="right")))
+        c = counts[start:stop]
+        lead = np.arange(start, stop)
+        a = np.repeat(lead, c)
+        b = np.arange(a.size) + np.repeat(lead + 1 + done + c - ends[start:stop], c)
+        union = np.take(hit, a, axis=1)
+        union |= np.take(hit, b, axis=1)
+        gains = np.bitwise_count(union).sum(axis=0, dtype=np.int32)
+        best = int(gains.max())
+        if best >= gain:
+            tie = gains == best
+            i, j = order[a[tie]], order[b[tie]]
+            first = int((np.minimum(i, j) * m + np.maximum(i, j)).min())
+            if best > gain or first < key:
+                gain, key = best, first
+        start = stop
+    return divmod(key, m), gain
 
 
 def _batch_size(n: int, m: int, p: int) -> int:
@@ -387,7 +328,16 @@ def _layouts(m: int, k: int, width: int) -> Iterator[np.ndarray]:
 def _layout(m: int, k: int) -> np.ndarray:
     # The k-subsets of range(m) in lexicographic order as k contiguous index
     # rows.  Read-only, as it is shared; the cache holds a row's k up to 8.
-    layout = np.arange(m)[None] if k == 1 else _extend(_layout(m, k - 1), m)
+    # Above m/2 sets, the complements of the (m - k)-subsets, in reverse, as
+    # complementing reverses lexicographic order: extending from single sets
+    # would pass through the C(m, m/2) subsets of half the sets.
+    if 2 * k > m:
+        rest = _layout(m, m - k) if k < m else np.empty((0, 1), dtype=np.intp)
+        keep = np.ones((rest.shape[1], m), dtype=bool)
+        keep[np.arange(rest.shape[1]), rest] = False
+        layout = np.ascontiguousarray(np.nonzero(keep[::-1])[1].reshape(-1, k).T)
+    else:
+        layout = np.arange(m)[None] if k == 1 else _extend(_layout(m, k - 1), m)
     layout.flags.writeable = False
     return layout
 
@@ -425,8 +375,8 @@ def exact_min_cover(
     searching (optimal size is unaffected; off by default so the default
     search examines the family exactly as given).  Intended for m up to ~25.
     """
-    if budget_limit is not None and budget_limit < 1:
-        raise ValueError(f"budget_limit must be a positive integer, got {budget_limit!r}")
+    if budget_limit is not None:
+        check_int("budget_limit", budget_limit)
     missing = uncoverable_elements(instance)
     if missing:
         raise UncoverableError(missing)

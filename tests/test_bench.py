@@ -50,7 +50,11 @@ def test_campaign_spec_validation():
     with pytest.raises(ValueError):
         CampaignSpec(n=10, q=0.3, m_values=(4,), p=0, count=5, seed=1)
     with pytest.raises(ValueError):
+        CampaignSpec(n=10, q=0.3, m_values=(4,), p=True, count=5, seed=1)
+    with pytest.raises(ValueError):
         CampaignSpec(n=10, q=0.3, m_values=(4,), p=2, count=-1, seed=1)
+    with pytest.raises(ValueError):
+        CampaignSpec(n=10, q=0.3, m_values=(4,), p=2, count=False, seed=1)
     with pytest.raises(ValueError):
         CampaignSpec(n=10, q=1.5, m_values=(4,), p=2, count=5, seed=1)
     # a bad m after the first fails at construction, before any row runs

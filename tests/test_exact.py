@@ -67,8 +67,9 @@ def test_budget_counts_every_search_node(index, nodes, chosen):
 
 
 def test_budget_validation(example1):
-    with pytest.raises(ValueError):
-        exact_min_cover(example1, budget_limit=0)
+    for bad in (0, True, 2.5):
+        with pytest.raises(ValueError, match="budget_limit must be a positive integer"):
+            exact_min_cover(example1, budget_limit=bad)
 
 
 @given(families(max_n=14, max_m=7))

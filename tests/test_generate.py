@@ -174,13 +174,17 @@ def test_resample_limit_error():
 def test_config_validation():
     bad = [
         dict(n=0, m=2, q=0.5, seed=1),
+        dict(n=True, m=5, q=0.3, seed=1),
         dict(n=5, m=0, q=0.5, seed=1),
+        dict(n=5, m=True, q=0.5, seed=1),
         dict(n=5, m=2, q=-0.1, seed=1),
         dict(n=5, m=2, q=1.0001, seed=1),
         dict(n=5, m=2, q=float("nan"), seed=1),
         dict(n=5, m=2, q=0.5, seed=-1),
         dict(n=5, m=2, q=0.5, seed=2**64),
+        dict(n=5, m=2, q=0.5, seed=True),
         dict(n=5, m=2, q=0.5, seed=1, max_redraws=0),
+        dict(n=5, m=2, q=0.5, seed=1, max_redraws=True),
         dict(n=5, m=2, q=0.5, seed=1, feasibility_policy="sometimes"),
     ]
     for kwargs in bad:
@@ -195,8 +199,9 @@ def test_policy_accepts_value_strings():
 
 def test_instance_index_must_be_non_negative():
     config = GeneratorConfig(n=5, m=2, q=0.5, seed=1)
-    with pytest.raises(ValueError):
-        generate_instance(config, -1)
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            generate_instance(config, bad)
 
 
 def test_feasibility_probability_closed_form():

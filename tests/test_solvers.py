@@ -11,24 +11,24 @@ from scpkit import Instance, UncoverableError, big_step_greedy, classical_greedy
 
 from helpers import families, pack_masks, ref_bigstep, ref_greedy, to_instance
 
-# Settings that force every p=2 pair step of _PairScan onto one scorer: the
-# bound-pruned scan, or every pair scored from the held unions of all pairs
+# Settings that force every p=2 pair step onto one scorer: the bound-pruned
+# scan, _pruned_pair, or every pair scored at once by _best_subsets
 PRUNED = {"_PRUNE_MIN_PAIR_WORDS": 0, "_PRUNE_MAX_SHARE": 1.0}
-UNION = {"_PRUNE_MIN_PAIR_WORDS": 2**63}
+UNPRUNED = {"_PRUNE_MIN_PAIR_WORDS": 2**63}
 # pruned steps at any size, and every pair scored where the share rule says
 SHARE_RULE = {"_PRUNE_MIN_PAIR_WORDS": 0}
 
 
-def _subsets(inst):
+def _sliced(inst):
     """Settings under which every p=2 pair step of inst scores every pair
-    through _best_subsets: no pruning, and a cap one byte below the held
-    unions of all pairs, so two slices."""
-    held = math.comb(inst.m, 2) * scpkit.solvers._pair_bytes((inst.n + 63) // 64)
-    return {**UNION, "_PAIR_SCAN_MAX_BYTES": max(1, held - 1)}
+    through _best_subsets in two slices: no pruning, and a cap one byte below
+    the bytes of all pairs at once."""
+    whole = math.comb(inst.m, 2) * scpkit.solvers._pair_bytes((inst.n + 63) // 64)
+    return {**UNPRUNED, "_PAIR_SCAN_MAX_BYTES": max(1, whole - 1)}
 
 
 def _pair_paths(inst):
-    return (PRUNED, UNION, _subsets(inst))
+    return (PRUNED, UNPRUNED, _sliced(inst))
 
 
 def _pair_path(path):
@@ -37,23 +37,18 @@ def _pair_path(path):
 
 
 def _full_scan(inst):
-    """inst at p=2 with every pair scored, by the held unions and by
-    _best_subsets, which must agree."""
-    with _pair_path(UNION):
-        union = big_step_greedy(inst, 2)
-    with _pair_path(_subsets(inst)):
-        assert big_step_greedy(inst, 2) == union
-    return union
+    """inst at p=2 with every pair scored by _best_subsets, at once and in
+    slices, which must agree."""
+    with _pair_path(UNPRUNED):
+        whole = big_step_greedy(inst, 2)
+    with _pair_path(_sliced(inst)):
+        assert big_step_greedy(inst, 2) == whole
+    return whole
 
 
-def _first_pair(inst):
-    """A _PairScan over inst, and the winning pair of its first step."""
-    words = (inst.n + 63) // 64
-    rows = scpkit.solvers._rows(inst.masks, words)
-    scan = scpkit.solvers._PairScan(inst.masks, rows)
-    uncovered = (1 << inst.n) - 1
-    w = scpkit.solvers._rows((uncovered,), words)
-    return scan, scan.best(uncovered, w, rows & w, inst.m)
+def _first_hit(inst):
+    """The uncovered bits of each set of inst at its first step, (words, m)."""
+    return scpkit.solvers._rows(inst.masks, (inst.n + 63) // 64)
 
 
 def _groups(trace):
@@ -149,7 +144,7 @@ def test_bigstep_final_step_uses_remaining_sets_when_fewer_than_p():
 
 
 def test_bigstep_rejects_bad_step_size(example1):
-    for bad in (0, -2, 1.5, "2", None):
+    for bad in (0, -2, 1.5, "2", None, True):
         with pytest.raises((ValueError, TypeError)):
             big_step_greedy(example1, bad)
 
@@ -194,7 +189,7 @@ def test_uncoverable_family_raises_before_any_step_is_scored(p):
     with mock.patch.multiple(
         scpkit.solvers,
         _best_subsets=mock.Mock(side_effect=scored),
-        _PairScan=mock.Mock(side_effect=scored),
+        _pruned_pair=mock.Mock(side_effect=scored),
     ):
         for solve in (lambda i: big_step_greedy(i, p), exact_min_cover):
             with pytest.raises(UncoverableError) as err:
@@ -409,25 +404,21 @@ def test_pruned_pair_scan_matches_full_scans_on_generated_instances():
 
 def test_sparse_wide_instances_never_build_the_pair_unions():
     """At n=1000, m=400, q=0.05 every pair step is settled by the pruned scan
-    and matches every pair scored; the union array is never built."""
+    and matches every pair scored."""
     from scpkit import GeneratorConfig, generate_instance
 
-    scan = scpkit.solvers._PairScan
-    original = scan._pruned_best
+    original = scpkit.solvers._pruned_pair
     pruned = []
 
-    def spy(self, *args):
-        pruned.append(original(self, *args))
+    def spy(*args):
+        pruned.append(original(*args))
         return pruned[-1]
 
     config = GeneratorConfig(n=1000, m=400, q=0.05, seed=2015)
     for index in range(3):
         inst = generate_instance(config, index)
         pruned.clear()
-        with (
-            mock.patch.object(scan, "_pruned_best", spy),
-            mock.patch.object(scan, "_union_best", side_effect=AssertionError("union scan ran")),
-        ):
+        with mock.patch.object(scpkit.solvers, "_pruned_pair", spy):
             fast = big_step_greedy(inst, 2)
         assert len(pruned) == len(fast[1].steps)
         assert None not in pruned
@@ -464,42 +455,30 @@ def test_pruned_scan_keeps_the_tie_rule_across_slices():
         10, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [0, 1, 2, 5, 6, 7], [3, 4, 5, 6, 8, 9]]
     )
     with _pair_path(PRUNED), mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 1):
-        assert _first_pair(inst)[1] == ((0, 1), 10)
+        assert scpkit.solvers._pruned_pair(_first_hit(inst), inst.m) == ((0, 1), 10)
 
 
 def test_pair_scan_above_its_byte_cap_scores_pairs_in_slices():
-    """With the cap below the held unions of all pairs, a p=2 solve still
-    takes _PairScan, never builds the unions, peaks within the cap plus
-    O(m * words), and gives the reference trace: at pair-words below the
-    pruning gate, so that every step scores every pair, and on a sparse
-    instance where the pruned scan settles most steps."""
+    """With the cap below the bytes of all pairs at once, a p=2 solve peaks
+    within the cap plus O(m * words) and gives the reference trace: at
+    pair-words below the pruning gate, so that _best_subsets scores every
+    pair of every step in slices, and on a sparse instance where the pruned
+    scan settles most steps."""
     from scpkit import GeneratorConfig, generate_instance
-    from scpkit.solvers import _PairScan, _pair_bytes
+    from scpkit.solvers import _pair_bytes
 
     for m, q in [(60, 0.3), (200, 0.05)]:
         n, words = 1000, 16
         inst = generate_instance(GeneratorConfig(n=n, m=m, q=q, seed=5), 0)
         reference = _full_scan(inst)
         cap = math.comb(m, 2) * _pair_bytes(words) // 4
-        scans = []
-
-        def build(*args):
-            scans.append(_PairScan(*args))
-            return scans[-1]
-
-        with (
-            mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap),
-            mock.patch.object(scpkit.solvers, "_PairScan", side_effect=build),
-            mock.patch.object(_PairScan, "_union_best", side_effect=AssertionError("held unions")),
-        ):
+        with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
             tracemalloc.start()
             try:
                 result = big_step_greedy(inst, 2)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert len(scans) == 1
-        assert scans[0]._unions is None
         assert result == reference
         assert peak <= cap + 4 * 8 * m * words
     # the set-based reference takes seconds at m=200, so the dense case only
@@ -540,6 +519,34 @@ def test_sliced_subset_scan_keeps_the_first_best_subset():
             assert all(0 < layout.shape[1] <= max(cap // 100, m ** (k - 1)) for layout in slices)
 
 
+def test_layouts_of_more_than_half_the_sets_are_built_from_complements():
+    """Layouts of k > m/2 sets are the lexicographic k-subsets, and a solve
+    at p near m builds none through the C(m, m/2) subsets of half the sets:
+    at m=30 every layout asked for holds at most 10**6 subsets, checked
+    before it is built, and the traces match the reference."""
+    import itertools
+
+    from scpkit import GeneratorConfig, generate_instance
+
+    original = scpkit.solvers._layout
+    for m in range(1, 13):
+        for k in range(1, m + 1):
+            subsets = [tuple(c) for c in original(m, k).T.tolist()]
+            assert subsets == list(itertools.combinations(range(m), k))
+
+    def spy(m, k):
+        assert math.comb(m, k) <= 10**6, f"_layout({m}, {k})"
+        return original(m, k)
+
+    original.cache_clear()
+    with mock.patch.object(scpkit.solvers, "_layout", spy):
+        for seed in range(5):
+            inst = generate_instance(GeneratorConfig(n=10, m=30, q=0.3, seed=seed), 0)
+            for p in (27, 28, 29, 30, 32):
+                _, trace = big_step_greedy(inst, p)
+                assert _groups(trace) == ref_bigstep(10, _family(inst), p)
+
+
 def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
     from scpkit import GeneratorConfig, generate_instance
     from scpkit.solvers import (
@@ -553,10 +560,11 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
     pairs = m * (m - 1) // 2
     for n in (64, 100, 150, 1000):
         inst = generate_instance(GeneratorConfig(n=n, m=m, q=0.3, seed=5), 0)
+        hit = _first_hit(inst)
+        scpkit.solvers._layout.cache_clear()  # its index rows count too
         tracemalloc.start()
         try:
-            with _pair_path(UNION):
-                _first_pair(inst)
+            scpkit.solvers._best_subset(hit, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -597,6 +605,7 @@ def test_pruned_pair_scan_peaks_stay_far_below_the_union_figure():
     from scpkit.solvers import _pair_bytes
 
     n, m, words = 1000, 400, 16
+    # the bytes of scoring every pair at once
     union_figure = m * (m - 1) // 2 * _pair_bytes(words)
     # a sparse solve, every step pruned
     inst = generate_instance(GeneratorConfig(n=n, m=m, q=0.05, seed=5), 0)
@@ -613,16 +622,16 @@ def test_pruned_pair_scan_peaks_stay_far_below_the_union_figure():
     family = [range(6 * k, 6 * k + 6) for k in range(150)]
     family += [range(900 + 5 * (k % 20), 905 + 5 * (k % 20)) for k in range(250)]
     inst = Instance.from_memberships(n, family)
+    hit = _first_hit(inst)
     cap = 100_000
     with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
         tracemalloc.start()
         try:
-            scan, best = _first_pair(inst)
+            best = scpkit.solvers._pruned_pair(hit, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert best == ((0, 1), 12)
-    assert scan._unions is None
     assert peak <= cap + 4 * 8 * m * words
 
 
