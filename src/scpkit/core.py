@@ -124,12 +124,11 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "masks", tuple(self.masks))
-        if self.n < 1:
-            raise ValueError(f"universe size must be >= 1, got {self.n}")
+        check_int("universe size", self.n)
         if not self.masks:
             raise ValueError("instance needs at least one set")
         for i, b in enumerate(self.masks):
-            if not isinstance(b, int):
+            if isinstance(b, bool) or not isinstance(b, int):
                 raise TypeError(f"masks[{i}] is not an int")
             if b < 0 or b >> self.n:
                 raise ValueError(f"masks[{i}] = {b:#x} has bits outside 0..{self.n - 1}")

@@ -12,10 +12,10 @@ any p over a batch of packed instances and returns only their cover sizes.
 
 A ``big_step_greedy`` step is scored one of two ways: a pair step of a wide
 p=2 solve by ``_pruned_pair``, which skips the pairs that the subadditivity
-bound of Minoux's accelerated greedy rules out, and any other step, a pair
-step whose bound leaves too many pairs, k=1 and the finisher search included,
-by ``_best_subsets``, the campaign kernel's scorer.  Neither masks the chosen
-sets, and both give the winners of plain enumeration.
+bound of Minoux's accelerated greedy rules out, and any other step, k=1 and
+the finisher search included, by ``_best_subsets``, the campaign kernel's
+scorer.  Neither masks the chosen sets, and both give the winners of plain
+enumeration.
 """
 
 from __future__ import annotations
@@ -46,18 +46,13 @@ class OracleBudgetError(RuntimeError):
 _PAIR_SCAN_MAX_BYTES = 160_000_000
 # Bytes one _batch_cover_sizes call may use; sets the sub-batch size.
 _BATCH_MAX_BYTES = 1_000_000
-# The pruning rules of a p=2 solve: the pair-words, C(m, 2) * words, from
-# which its pair steps try _pruned_pair, and the share of a step's unchosen
-# pairs above which that step scores every pair instead.  Both were set against
-# a scan of held unions of all pairs, whole p=2 solves at n=64, 100 and 1000:
-# at 8k pair-words pruning took 1.05-1.7x the time; at 16k 0.7-1.6x; at 32k
-# 0.3-0.9x for q <= 0.2 and 0.65-1.5x at q=0.3; from 64k 0.3-0.8x and
-# 0.6-1.1x.  A share of 1/8 or 1/16 ran q=0.3 shapes above the gate at
-# 0.9-1.9x, against 0.65-1.2x for 1/4, as a step that falls back pays for its
-# pruning attempt too.  Against _best_subsets, pruning every step at n=100,
-# q=0.3, m=25 and 35 (600 and 1,190 pair-words) took 1.8-2.6x the time.
-_PRUNE_MIN_PAIR_WORDS = 2**15
-_PRUNE_MAX_SHARE = 0.25
+# The pair-words, C(m, 2) * words, from which every pair step of a p=2 solve
+# is scored by _pruned_pair rather than _best_subsets.  Whole p=2 solves,
+# pruned against every pair scored, at n=64 and 100 (q=0.05 and 0.3) and
+# n=1000 (q=0.3): at ~4k pair-words 0.49-1.51x the time, at ~8k 0.50-0.95x,
+# at ~16k 0.47-0.84x and at ~32k 0.37-0.57x; the gate keeps a margin over the
+# dense shapes at ~8k.
+_PRUNE_MIN_PAIR_WORDS = 2**14
 
 
 def _pair_bytes(words: int) -> int:
@@ -112,8 +107,7 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
         u = m - len(chosen)
         k = p if p < u else u
         hit = rows & _rows((uncovered,), words)
-        found = _pruned_pair(hit, u) if k == 2 and prune else None
-        winner, gain = found or _best_subset(hit, k)
+        winner, gain = _pruned_pair(hit) if k == 2 and prune else _best_subset(hit, k)
         left = uncovered.bit_count()
         if gain == left:
             # the first subset of least size that gains the whole remainder
@@ -142,11 +136,9 @@ def _best_subset(hit: np.ndarray, k: int) -> tuple[tuple[int, ...], int]:
     return tuple(subset[:, 0].tolist()), int(gain[0])
 
 
-def _pruned_pair(hit: np.ndarray, u: int) -> tuple[tuple[int, int], int] | None:
+def _pruned_pair(hit: np.ndarray) -> tuple[tuple[int, int], int]:
     """The first best pair of one instance's (words, m) uncovered bits, and
-    its gain, scoring only the pairs that can still win; None when that
-    leaves more than ``_PRUNE_MAX_SHARE`` of the C(u, 2) pairs of the u sets
-    unchosen, as the step is then cheaper to score whole.
+    its gain, scoring only the pairs that can still win.
 
     Coverage is subadditive, so a pair's gain is at most g_i + g_j, the gains
     of its two sets alone (the bound of Minoux's accelerated greedy).  The
@@ -177,18 +169,14 @@ def _pruned_pair(hit: np.ndarray, u: int) -> tuple[tuple[int, int], int] | None:
     counts = np.searchsorted(neg, -bound - neg, side="right") - np.arange(1, neg.size + 1)
     counts = counts[: np.count_nonzero(counts > 0)]
     ends = np.cumsum(counts)
-    if ends[-1] > _PRUNE_MAX_SHARE * (u * (u - 1) // 2):
-        return None
     hit = np.take(hit, order[: neg.size], axis=1)
     # Slices of whole rows, each within the cap for its two gathers unless
     # one row alone is over it.
     width = max(1, _PAIR_SCAN_MAX_BYTES // (2 * _pair_bytes(hit.shape[0])))
     m = order.size
     gain, key = -1, 0
-    start = 0
-    while start < counts.size:
+    for start, stop in _runs(ends, width):
         done = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + width, side="right")))
         c = counts[start:stop]
         lead = np.arange(start, stop)
         a = np.repeat(lead, c)
@@ -203,8 +191,18 @@ def _pruned_pair(hit: np.ndarray, u: int) -> tuple[tuple[int, int], int] | None:
             first = int((np.minimum(i, j) * m + np.maximum(i, j)).min())
             if best > gain or first < key:
                 gain, key = best, first
-        start = stop
     return divmod(key, m), gain
+
+
+def _runs(ends: np.ndarray, width: int) -> Iterator[tuple[int, int]]:
+    # Runs [start, stop) of consecutive rows, ``ends`` being the running sum
+    # of their counts, each run within width in all or one row alone.
+    start = 0
+    while start < ends.size:
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + width, side="right")))
+        yield start, stop
+        start = stop
 
 
 def _batch_size(n: int, m: int, p: int) -> int:
@@ -291,7 +289,9 @@ def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         best = gains.argmax(axis=1)
         return gains[np.arange(rows), best], best[None]
     gain = winner = None
-    for layout in _layouts(m, k, max(1, _PAIR_SCAN_MAX_BYTES // (rows * _pair_bytes(words)))):
+    # each subset also holds its k index rows: the slice and _extend's copies
+    width = max(1, _PAIR_SCAN_MAX_BYTES // (rows * _pair_bytes(words) + 24 * k))
+    for layout in _layouts(m, k, width):
         gains = np.zeros((rows, layout.shape[1]), dtype=np.int32)
         for w in range(words):
             union = hit[w][:, layout[0]]
@@ -309,19 +309,26 @@ def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layouts(m: int, k: int, width: int) -> Iterator[np.ndarray]:
-    # _layout(m, k) in slices of at most max(width, m ** e) subsets.  Where it
-    # would pass the cap, slices of the largest layout within it, of e fewer
-    # sets per subset (single sets at least), are extended e times instead.
+    # _layout(m, k) in slices of at most width subsets.  Where it would pass
+    # the cap, runs of the largest layout within it, of fewer sets per subset
+    # (single sets at least), are extended to k sets instead, each run within
+    # width unless one held subset alone has more extensions.
     held = k
     while held > 1 and 8 * held * math.comb(m, held) > _PAIR_SCAN_MAX_BYTES:
         held -= 1
-    step = max(1, width // m ** (k - held))
-    for start in range(0, math.comb(m, held), step):
-        layout = _layout(m, held)[:, start : start + step]
+    layout = _layout(m, held)
+    if held == k:
+        for start in range(0, layout.shape[1], width):
+            yield layout[:, start : start + width]
+        return
+    # a held subset ending at set l has C(m - 1 - l, k - held) extensions
+    extensions = np.array([math.comb(r, k - held) for r in range(m)])
+    for start, stop in _runs(np.cumsum(extensions[m - 1 - layout[-1]]), width):
+        run = layout[:, start:stop]
         for _ in range(held, k):
-            layout = _extend(layout, m)
-        if layout.size:  # subsets that all end at m - 1 have no extension
-            yield layout
+            run = _extend(run, m)
+        if run.size:  # subsets that all end at m - 1 have no extension
+            yield run
 
 
 @functools.lru_cache(maxsize=8)

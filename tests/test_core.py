@@ -81,16 +81,18 @@ def test_elementset_roundtrips_elements(width, data):
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError, match="universe size"):
-        Instance(0, (0b1,))
+    for n in (0, True, 1.5, "3", None):
+        with pytest.raises(ValueError, match="universe size must be a positive integer"):
+            Instance(n, (0b1,))
     with pytest.raises(ValueError, match="at least one set"):
         Instance(3, ())
     with pytest.raises(ValueError, match="bits outside"):
         Instance(3, (0b1, 1 << 3))
     with pytest.raises(ValueError, match="bits outside"):
         Instance(3, (0b1, -1))
-    with pytest.raises(TypeError, match=r"masks\[1\]"):
-        Instance(3, (0b1, ElementSet(0b10, 3)))
+    for mask in (ElementSet(0b10, 3), True, False, 1.0):
+        with pytest.raises(TypeError, match=r"masks\[1\] is not an int"):
+            Instance(3, (0b1, mask))
     assert Instance(3, [0b111, 0]).masks == (0b111, 0)
 
 

@@ -13,10 +13,8 @@ from helpers import families, pack_masks, ref_bigstep, ref_greedy, to_instance
 
 # Settings that force every p=2 pair step onto one scorer: the bound-pruned
 # scan, _pruned_pair, or every pair scored at once by _best_subsets
-PRUNED = {"_PRUNE_MIN_PAIR_WORDS": 0, "_PRUNE_MAX_SHARE": 1.0}
+PRUNED = {"_PRUNE_MIN_PAIR_WORDS": 0}
 UNPRUNED = {"_PRUNE_MIN_PAIR_WORDS": 2**63}
-# pruned steps at any size, and every pair scored where the share rule says
-SHARE_RULE = {"_PRUNE_MIN_PAIR_WORDS": 0}
 
 
 def _sliced(inst):
@@ -343,9 +341,8 @@ def test_solvers_are_deterministic(example1):
 
 
 def test_pair_scan_matches_plain_enumeration():
-    """The pruned scan, the share rule and the default routing against every
-    pair scored, and on the first instances of each case against the
-    set-based reference."""
+    """The pruned scan and the default routing against every pair scored, and
+    on the first instances of each case against the set-based reference."""
     from scpkit import GeneratorConfig, generate_instance
 
     # n at and around the 64-bit word boundaries of the packed masks
@@ -366,7 +363,7 @@ def test_pair_scan_matches_plain_enumeration():
             full = _full_scan(inst)
             if index < 3:
                 assert _groups(full[1]) == ref_bigstep(n, _family(inst), 2)
-            for path in (PRUNED, SHARE_RULE, {}):
+            for path in (PRUNED, {}):
                 with _pair_path(path):
                     assert big_step_greedy(inst, 2) == full
 
@@ -384,9 +381,9 @@ def test_pair_scan_survives_wide_universes():
 
 
 def test_pruned_pair_scan_matches_full_scans_on_generated_instances():
-    """Whole traces of the pruned scan, alone and with every pair scored where
-    the bound leaves too many pairs, and of the default routing, against every
-    pair scored, at n on and around the 64-bit word boundaries and at n=1000."""
+    """Whole traces of the pruned scan and of the default routing against
+    every pair scored, at n on and around the 64-bit word boundaries and at
+    n=1000."""
     from scpkit import GeneratorConfig, generate_instance
 
     shapes = [(n, 120, 0.05, 4) for n in (63, 64, 65, 128, 129)]
@@ -397,32 +394,49 @@ def test_pruned_pair_scan_matches_full_scans_on_generated_instances():
         for index in range(count):
             inst = generate_instance(config, index)
             full = _full_scan(inst)
-            for path in (PRUNED, SHARE_RULE, {}):
+            for path in (PRUNED, {}):
                 with _pair_path(path):
                     assert big_step_greedy(inst, 2) == full
 
 
-def test_sparse_wide_instances_never_build_the_pair_unions():
-    """At n=1000, m=400, q=0.05 every pair step is settled by the pruned scan
-    and matches every pair scored."""
-    from scpkit import GeneratorConfig, generate_instance
-
+def _pruned_solve(inst):
+    """inst at p=2 under the default routing, asserting that _pruned_pair
+    settled every step: one call per step, whose gain the step took."""
     original = scpkit.solvers._pruned_pair
     pruned = []
 
-    def spy(*args):
-        pruned.append(original(*args))
+    def spy(hit):
+        pruned.append(original(hit))
         return pruned[-1]
+
+    with mock.patch.object(scpkit.solvers, "_pruned_pair", spy):
+        result = big_step_greedy(inst, 2)
+    assert [gain for _, gain in pruned] == [step.newly_covered for step in result[1].steps]
+    return result
+
+
+def test_sparse_wide_instances_prune_every_pair_step():
+    """At n=1000, m=400, q=0.05 the pruned scan settles every pair step and
+    matches every pair scored."""
+    from scpkit import GeneratorConfig, generate_instance
 
     config = GeneratorConfig(n=1000, m=400, q=0.05, seed=2015)
     for index in range(3):
         inst = generate_instance(config, index)
-        pruned.clear()
-        with mock.patch.object(scpkit.solvers, "_pruned_pair", spy):
-            fast = big_step_greedy(inst, 2)
-        assert len(pruned) == len(fast[1].steps)
-        assert None not in pruned
-        assert _full_scan(inst) == fast
+        assert _full_scan(inst) == _pruned_solve(inst)
+
+
+def test_dense_instances_above_the_gate_prune_every_pair_step():
+    """At n=1000, m=70, q=0.3, just above the size gate, the bound leaves
+    nearly every pair at the first step, and the pruned scan still settles
+    every pair step and matches every pair scored."""
+    from scpkit import GeneratorConfig, generate_instance
+
+    assert math.comb(70, 2) * 16 >= scpkit.solvers._PRUNE_MIN_PAIR_WORDS
+    config = GeneratorConfig(n=1000, m=70, q=0.3, seed=2015)
+    for index in range(3):
+        inst = generate_instance(config, index)
+        assert _full_scan(inst) == _pruned_solve(inst)
 
 
 def _all_ties_families():
@@ -442,7 +456,7 @@ def test_pair_paths_agree_on_all_ties_families(n, family):
     inst = to_instance(n, family)
     full = _full_scan(inst)
     assert _groups(full[1]) == ref_bigstep(n, family, 2)
-    for path in (PRUNED, SHARE_RULE, {}):
+    for path in (PRUNED, {}):
         with _pair_path(path):
             assert big_step_greedy(inst, 2) == full
 
@@ -455,7 +469,7 @@ def test_pruned_scan_keeps_the_tie_rule_across_slices():
         10, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [0, 1, 2, 5, 6, 7], [3, 4, 5, 6, 8, 9]]
     )
     with _pair_path(PRUNED), mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 1):
-        assert scpkit.solvers._pruned_pair(_first_hit(inst), inst.m) == ((0, 1), 10)
+        assert scpkit.solvers._pruned_pair(_first_hit(inst)) == ((0, 1), 10)
 
 
 def test_pair_scan_above_its_byte_cap_scores_pairs_in_slices():
@@ -517,6 +531,16 @@ def test_sliced_subset_scan_keeps_the_first_best_subset():
             assert [tuple(w) for w in winner.T.tolist()] == expected_winner
             assert [tuple(c) for c in np.hstack(slices).T.tolist()] == combos
             assert all(0 < layout.shape[1] <= max(cap // 100, m ** (k - 1)) for layout in slices)
+    # Held pairs extended to triples: each pair ending at set l has m - 1 - l
+    # extensions, and runs of whole pairs fill each slice, so any two
+    # consecutive slices hold more than the width.
+    m, k, width = 20, 3, 100
+    with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 10_000):
+        assert 8 * k * math.comb(m, k) > 10_000 >= 8 * (k - 1) * math.comb(m, k - 1)
+        slices = list(scpkit.solvers._layouts(m, k, width))
+    assert [tuple(c) for c in np.hstack(slices).T.tolist()] == list(itertools.combinations(range(m), k))
+    assert all(0 < layout.shape[1] <= width for layout in slices)
+    assert len(slices) <= 2 * math.comb(m, k) / width + 1
 
 
 def test_layouts_of_more_than_half_the_sets_are_built_from_complements():
@@ -627,7 +651,7 @@ def test_pruned_pair_scan_peaks_stay_far_below_the_union_figure():
     with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
         tracemalloc.start()
         try:
-            best = scpkit.solvers._pruned_pair(hit, m)
+            best = scpkit.solvers._pruned_pair(hit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
