@@ -51,8 +51,9 @@ class ElementSet:
     width: int
 
     def __post_init__(self) -> None:
-        if self.width < 0:
-            raise ValueError(f"width must be >= 0, got {self.width}")
+        check_int("width", self.width, 0)
+        if isinstance(self.bits, bool) or not isinstance(self.bits, int):
+            raise TypeError(f"bit mask {self.bits!r} is not an int")
         if self.bits < 0 or self.bits >> self.width:
             raise ValueError(f"bit mask {self.bits:#x} has bits beyond width {self.width}")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -59,8 +60,9 @@ class GeneratorConfig:
     def __post_init__(self):
         check_int("n", self.n)
         check_int("m", self.m)
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q!r}")
+        q = self.q
+        if isinstance(q, bool) or not isinstance(q, numbers.Real) or not 0 <= q <= 1:
+            raise ValueError(f"q must lie in [0, 1], got {q!r}")
         check_int("seed", self.seed, 0, 2**64)
         if not isinstance(self.feasibility_policy, FeasibilityPolicy):
             object.__setattr__(

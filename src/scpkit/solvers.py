@@ -15,7 +15,10 @@ p=2 solve by ``_pruned_pair``, which skips the pairs that the subadditivity
 bound of Minoux's accelerated greedy rules out, and any other step, k=1 and
 the finisher search included, by ``_best_subsets``, the campaign kernel's
 scorer.  Neither masks the chosen sets, and both give the winners of plain
-enumeration.
+enumeration.  ``_best_subsets`` lists the k-subsets in lexicographic slices,
+each unranked from its ranks by the combinatorial number system (Buckles and
+Lybanon, Algorithm 515; Knuth, TAOCP 4A 7.2.1.3), and cached whole where
+that fits the byte cap.
 """
 
 from __future__ import annotations
@@ -289,8 +292,8 @@ def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         best = gains.argmax(axis=1)
         return gains[np.arange(rows), best], best[None]
     gain = winner = None
-    # each subset also holds its k index rows: the slice and _extend's copies
-    width = max(1, _PAIR_SCAN_MAX_BYTES // (rows * _pair_bytes(words) + 24 * k))
+    # each subset also holds its k index rows, and two more while unranked
+    width = max(1, _PAIR_SCAN_MAX_BYTES // (rows * _pair_bytes(words) + 8 * k + 16))
     for layout in _layouts(m, k, width):
         gains = np.zeros((rows, layout.shape[1]), dtype=np.int32)
         for w in range(words):
@@ -309,52 +312,45 @@ def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layouts(m: int, k: int, width: int) -> Iterator[np.ndarray]:
-    # _layout(m, k) in slices of at most width subsets.  Where it would pass
-    # the cap, runs of the largest layout within it, of fewer sets per subset
-    # (single sets at least), are extended to k sets instead, each run within
-    # width unless one held subset alone has more extensions.
-    held = k
-    while held > 1 and 8 * held * math.comb(m, held) > _PAIR_SCAN_MAX_BYTES:
-        held -= 1
-    layout = _layout(m, held)
-    if held == k:
-        for start in range(0, layout.shape[1], width):
-            yield layout[:, start : start + width]
-        return
-    # a held subset ending at set l has C(m - 1 - l, k - held) extensions
-    extensions = np.array([math.comb(r, k - held) for r in range(m)])
-    for start, stop in _runs(np.cumsum(extensions[m - 1 - layout[-1]]), width):
-        run = layout[:, start:stop]
-        for _ in range(held, k):
-            run = _extend(run, m)
-        if run.size:  # subsets that all end at m - 1 have no extension
-            yield run
+    # The k-subsets of range(m) in lexicographic slices of width: slices of
+    # the cached _layout(m, k) where it fits the cap, else each unranked alone.
+    total = math.comb(m, k)
+    cached = 8 * k * total <= _PAIR_SCAN_MAX_BYTES
+    for start in range(0, total, width):
+        stop = min(start + width, total)
+        yield _layout(m, k)[:, start:stop] if cached else _unrank(m, k, start, stop)
 
 
 @functools.lru_cache(maxsize=8)
 def _layout(m: int, k: int) -> np.ndarray:
     # The k-subsets of range(m) in lexicographic order as k contiguous index
     # rows.  Read-only, as it is shared; the cache holds a row's k up to 8.
-    # Above m/2 sets, the complements of the (m - k)-subsets, in reverse, as
-    # complementing reverses lexicographic order: extending from single sets
-    # would pass through the C(m, m/2) subsets of half the sets.
-    if 2 * k > m:
-        rest = _layout(m, m - k) if k < m else np.empty((0, 1), dtype=np.intp)
-        keep = np.ones((rest.shape[1], m), dtype=bool)
-        keep[np.arange(rest.shape[1]), rest] = False
-        layout = np.ascontiguousarray(np.nonzero(keep[::-1])[1].reshape(-1, k).T)
-    else:
-        layout = np.arange(m)[None] if k == 1 else _extend(_layout(m, k - 1), m)
+    layout = _unrank(m, k, 0, math.comb(m, k))
     layout.flags.writeable = False
     return layout
 
 
-def _extend(prev: np.ndarray, m: int) -> np.ndarray:
-    # Each subset of a lexicographic run, ending at set l, followed by
-    # l+1, ..., m-1 in turn: the run's extensions, in lexicographic order.
-    counts = m - 1 - prev[-1]
-    tail = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - m, counts)
-    return np.vstack([np.repeat(prev, counts, axis=1), tail])
+def _unrank(m: int, k: int, start: int, stop: int) -> np.ndarray:
+    # The k-subsets of range(m) of lexicographic ranks [start, stop) as k index
+    # rows, by the combinatorial number system: rank r's subset c_0 < ... <
+    # c_{k-1} has C(m, k) - 1 - r = sum_i C(m - 1 - c_i, k - i), so each c_i
+    # is m - 1 less the largest d with C(d, k - i) at most the remainder.
+    # Table entries are clipped to int64; the remainder, below C(m, k), never
+    # reaches a clipped one.  The last row holds the remainder until its turn,
+    # so building peaks at 8k + 16 bytes per subset.
+    last = math.comb(m, k) - 1
+    rows = np.empty((k, stop - start), dtype=np.intp)
+    rest = rows[-1]
+    rest[:] = np.arange(last - start, last - stop, -1)
+    for i in range(k - 1):
+        table = np.array([min(math.comb(d, k - i), 2**63 - 1) for d in range(m)])
+        d = np.searchsorted(table, rest, side="right")
+        d -= 1
+        rest -= table[d]
+        np.subtract(m - 1, d, out=rows[i])
+    # C(d, 1) = d, so the remainder is the last d
+    np.subtract(m - 1, rest, out=rest)
+    return rows
 
 
 def _uncoverable(sets: np.ndarray, n: int) -> UncoverableError:

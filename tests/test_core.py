@@ -41,6 +41,12 @@ def test_elementset_rejects_bad_masks():
         ElementSet.from_elements(4, [4])
     with pytest.raises(ValueError):
         ElementSet.from_elements(4, [-1])
+    for width in (True, 1.5, "3", None, -1):
+        with pytest.raises(ValueError, match="width must be a non-negative integer"):
+            ElementSet(1, width)
+    for bits in (True, False, 1.5, "1", None):
+        with pytest.raises(TypeError, match="is not an int"):
+            ElementSet(bits, 3)
 
 
 def test_elementset_set_algebra():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scpkit import (
+    CampaignSpec,
     FeasibilityPolicy,
     GeneratorConfig,
     ResampleLimitError,
@@ -190,6 +191,13 @@ def test_config_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             GeneratorConfig(**kwargs)
+    for q in (True, False, "0.3", None, 2):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            GeneratorConfig(n=5, m=2, q=q, seed=1)
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            CampaignSpec(n=5, q=q, m_values=(2,), p=2, count=1, seed=1)
+    for q in (0, 1, 0.3, np.float64(0.3), np.float32(0.5)):
+        assert GeneratorConfig(n=5, m=2, q=q, seed=1).q == q
 
 
 def test_policy_accepts_value_strings():

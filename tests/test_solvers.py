@@ -502,8 +502,8 @@ def test_pair_scan_above_its_byte_cap_scores_pairs_in_slices():
 
 def test_sliced_subset_scan_keeps_the_first_best_subset():
     """The kernel's k-subset scan, whole, in slices of cached layouts and in
-    slices of layouts built slice by slice, returns each instance's first
-    best subset in lexicographic order; few bits per word make many ties."""
+    slices unranked one by one, returns each instance's first best subset in
+    lexicographic order; few bits per word make many ties."""
     import itertools
 
     import numpy as np
@@ -519,31 +519,51 @@ def test_sliced_subset_scan_keeps_the_first_best_subset():
                          for w in range(words)) for c in combos]
             expected_gain.append(max(gains))
             expected_winner.append(combos[gains.index(max(gains))])
-        # whole; slices of 3-55 subsets from the cached layout; slices of a
-        # layout one byte over the cap, extended from the (k-1)-subsets; and
-        # at 100 and 0 bytes, from single sets, every layout from k=2 up extended
+        # whole; slices of 3-55 subsets from the cached layout; and slices of
+        # a layout one byte over the cap, and at 100 and 0 bytes, unranked
         layout_bytes = 8 * k * len(combos)
         for cap in (scpkit.solvers._PAIR_SCAN_MAX_BYTES, layout_bytes, layout_bytes - 1, 100, 0):
+            width = max(1, cap // 100)
             with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
                 gain, winner = scpkit.solvers._best_subsets(hit, k)
-                slices = list(scpkit.solvers._layouts(m, k, cap // 100))
+                slices = list(scpkit.solvers._layouts(m, k, width))
             assert gain.tolist() == expected_gain
             assert [tuple(w) for w in winner.T.tolist()] == expected_winner
             assert [tuple(c) for c in np.hstack(slices).T.tolist()] == combos
-            assert all(0 < layout.shape[1] <= max(cap // 100, m ** (k - 1)) for layout in slices)
-    # Held pairs extended to triples: each pair ending at set l has m - 1 - l
-    # extensions, and runs of whole pairs fill each slice, so any two
-    # consecutive slices hold more than the width.
+            assert all(0 < layout.shape[1] <= width for layout in slices)
+    # A layout over the cap, unranked in slices of exactly the width but the
+    # last
     m, k, width = 20, 3, 100
     with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 10_000):
-        assert 8 * k * math.comb(m, k) > 10_000 >= 8 * (k - 1) * math.comb(m, k - 1)
+        assert 8 * k * math.comb(m, k) > 10_000
         slices = list(scpkit.solvers._layouts(m, k, width))
     assert [tuple(c) for c in np.hstack(slices).T.tolist()] == list(itertools.combinations(range(m), k))
     assert all(0 < layout.shape[1] <= width for layout in slices)
-    assert len(slices) <= 2 * math.comb(m, k) / width + 1
+    assert len(slices) == -(-math.comb(m, k) // width)
 
 
-def test_layouts_of_more_than_half_the_sets_are_built_from_complements():
+def test_unranked_slices_are_the_lexicographic_subsets():
+    """_unrank's slices, of any width, join into itertools.combinations order,
+    and at m=100, k=98 the search passes table entries clipped to int64."""
+    import itertools
+
+    import numpy as np
+
+    from scpkit.solvers import _unrank
+
+    for m in range(1, 13):
+        for k in range(1, m + 1):
+            combos = list(itertools.combinations(range(m), k))
+            for width in (1, 2, 5, 64):
+                slices = [_unrank(m, k, start, min(start + width, len(combos)))
+                          for start in range(0, len(combos), width)]
+                assert [tuple(c) for c in np.hstack(slices).T.tolist()] == combos
+    assert math.comb(99, 50) > 2**63
+    subsets = _unrank(100, 98, 0, math.comb(100, 98))
+    assert [tuple(c) for c in subsets.T.tolist()] == list(itertools.combinations(range(100), 98))
+
+
+def test_layouts_of_more_than_half_the_sets_are_unranked_directly():
     """Layouts of k > m/2 sets are the lexicographic k-subsets, and a solve
     at p near m builds none through the C(m, m/2) subsets of half the sets:
     at m=30 every layout asked for holds at most 10**6 subsets, checked
