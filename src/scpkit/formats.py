@@ -2,11 +2,23 @@
 
 Native format: header line "n m", then one line per set, "cardinality
 elements..." with 0-based ascending elements.  Round-trips exactly.
+
+``parse_instance`` has two paths with one result.  Texts made only of ASCII
+digits, spaces and newlines (everything ``serialize_instance`` writes) take
+a bulk path: numpy reads every token at once, checks the header, the set
+count, each cardinality, the ranges and the duplicates in vector form, and
+packs the masks with one ``np.packbits``.  Its (m, n) bool scratch is built
+only when m * n is at most 64 times the text's length, so its memory stays
+bounded by the input.  Any other text, a text over that bound, and any text
+that fails a check go to the line-by-line loop, which parses it from the
+start and reports the error with its line number.
 """
 
 from __future__ import annotations
 
 import warnings
+
+import numpy as np
 
 from .core import Instance
 
@@ -30,7 +42,76 @@ def serialize_instance(instance: Instance) -> str:
 
 def parse_instance(text: str) -> Instance:
     """Inverse of serialize_instance; tolerant of extra whitespace and blank
-    lines, strict about counts, ranges, and duplicates."""
+    lines, strict about counts, ranges, and duplicates.
+
+    A text of ASCII digits, spaces and newlines whose m * n is at most 64
+    times its length is parsed in bulk with numpy; any other text, and any
+    text that fails a check there, is parsed again by the line loop, so every
+    ``ParseError`` and its 1-based line are the loop's.
+    """
+    instance = _parse_bulk(text)
+    return _parse_lines(text) if instance is None else instance
+
+
+# Bytes of the bulk path, its widest token (int64 holds every 18-digit one),
+# and the (m, n) bool cells it may allocate per byte of text.
+_BULK_BYTES = b"0123456789 \n"
+_BULK_MAX_DIGITS = 18
+_BULK_CELLS_PER_BYTE = 64
+
+
+def _parse_bulk(text: str) -> Instance | None:
+    # The instance of a well-formed text in the bulk byte set, or None for
+    # _parse_lines to parse it (and to raise what it raises).
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, _BULK_BYTES):
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    digit = np.zeros(len(chars) + 2, dtype=bool)
+    np.greater(chars, ord(" "), out=digit[1:-1])
+    # first and last byte of each token
+    starts = np.flatnonzero(digit[1:-1] & ~digit[:-2])
+    ends = np.flatnonzero(digit[1:-1] & ~digit[2:])
+    if len(starts) < 2 or (ends - starts).max() + 1 > _BULK_MAX_DIGITS:
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if len(values) != len(starts):  # numpy's reader saw other tokens
+        return None
+    # each token's line is the count of newlines before it; heads are the
+    # first tokens of the non-blank lines
+    line = np.searchsorted(np.flatnonzero(chars == ord("\n")), starts)
+    heads = np.flatnonzero(np.diff(line, prepend=-1))
+    n, m = int(values[0]), int(values[1])
+    if (
+        n < 1
+        or m < 1
+        or len(heads) != m + 1
+        or heads[1] != 2
+        or m * n > _BULK_CELLS_PER_BYTE * len(raw)
+    ):
+        return None
+    cards = heads[1:]  # each set line's cardinality token
+    counts = np.diff(cards, append=len(values)) - 1
+    if not np.array_equal(values[cards], counts):
+        return None
+    elements = np.delete(values[2:], cards - 2)
+    if elements.size and elements.max() >= n:
+        return None
+    hits = np.zeros((m, n), dtype=bool)
+    hits[np.repeat(np.arange(m), counts), elements] = True
+    if np.count_nonzero(hits) != elements.size:  # a duplicate set a cell twice
+        return None
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    masks = tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+    return Instance(n, masks)
+
+
+def _parse_lines(text: str) -> Instance:
+    # parse_instance one line at a time, with every error it can report
     numbered = [(i + 1, line.split()) for i, line in enumerate(text.splitlines())]
     numbered = [(ln, toks) for ln, toks in numbered if toks]
     if not numbered:

@@ -314,7 +314,13 @@ def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _layouts(m: int, k: int, width: int) -> Iterator[np.ndarray]:
     # The k-subsets of range(m) in lexicographic slices of width: slices of
     # the cached _layout(m, k) where it fits the cap, else each unranked alone.
+    # Ranks are int64, so a step of more subsets than that cannot be listed.
     total = math.comb(m, k)
+    if total > 2**63 - 1:
+        raise ValueError(
+            f"a step of k={k} of m={m} sets has C({m}, {k}) = {total} subsets,"
+            " more than the 2**63 - 1 that can be enumerated"
+        )
     cached = 8 * k * total <= _PAIR_SCAN_MAX_BYTES
     for start in range(0, total, width):
         stop = min(start + width, total)

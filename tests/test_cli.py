@@ -192,6 +192,25 @@ def test_feasprob(capsys):
     assert out.strip() == "1"
 
 
+def test_step_too_large_to_enumerate_is_a_clean_error(tmp_path):
+    # p=35 of m=70 sets is a step of C(70, 35) > 2**63 - 1 subsets
+    cli = [sys.executable, "-m", "scpkit"]
+    gen = ["gen", "--n", "20", "--m", "70", "--q", "0.3", "--seed", "1", "--count", "1"]
+    subprocess.run(cli + gen + ["--out", str(tmp_path)], check=True, capture_output=True)
+    path = str(tmp_path / "instance_000000.scp")
+    result = subprocess.run(
+        cli + ["solve", "--algo", "bigstep", "--p", "35", "--input", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("scpkit: error: a step of k=35 of m=70 sets")
+    assert "C(70, 35) = 112186277816662845432" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_module_entry_point(example1_file):
     result = subprocess.run(
         [sys.executable, "-m", "scpkit", "solve", "--algo", "greedy", "--input", example1_file],
