@@ -2,14 +2,21 @@
 
 Elements are dense integers ``0..n-1``; a set of elements is an int bit mask
 (bit ``e`` set means element ``e`` is a member).  ``Instance`` holds plain
-masks, which the solvers read; ``ElementSet`` wraps one at the API edges.  All
-types are immutable, so instances and solutions can be shared between workers.
+masks; ``ElementSet`` wraps one at the API edges.  The scalar solvers read an
+instance's masks packed once into a read-only (words, m) uint64 array,
+``Instance._packed``, which the instance caches on first use outside its
+fields, so equality, hashing, ``repr``, ``dataclasses.replace`` and pickling
+see only ``n`` and ``masks``.  All types are immutable, so instances and
+solutions can be shared between workers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 _INT_KINDS = {
@@ -111,6 +118,12 @@ class ElementSet:
     difference = __sub__
 
 
+def _rows(masks: tuple[int, ...], words: int) -> np.ndarray:
+    """Int masks as a (words, m) uint64 array: word w of mask i is [w, i]."""
+    raw = b"".join(s.to_bytes(words * 8, "little") for s in masks)
+    return np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), words).T.copy()
+
+
 @dataclass(frozen=True)
 class Instance:
     """A set-cover instance: universe size ``n`` and an ordered set family.
@@ -137,6 +150,19 @@ class Instance:
     @classmethod
     def from_memberships(cls, n: int, memberships: Iterable[Iterable[int]]) -> "Instance":
         return cls(n, tuple(ElementSet.from_elements(n, ms).bits for ms in memberships))
+
+    @functools.cached_property
+    def _packed(self) -> np.ndarray:
+        """The masks as a read-only (words, m) uint64 array: ``_rows`` of them,
+        built on first use and kept in the instance's ``__dict__``."""
+        rows = _rows(self.masks, (self.n + 63) >> 6)
+        rows.flags.writeable = False
+        return rows
+
+    def __getstate__(self) -> dict:
+        # the fields alone: a pickle is the same whether or not the packed
+        # rows were built, and unpickling rebuilds them on first use
+        return {"n": self.n, "masks": self.masks}
 
     @property
     def sets(self) -> tuple[ElementSet, ...]:

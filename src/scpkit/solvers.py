@@ -10,11 +10,15 @@ lexicographically smallest index tuple), so repeated calls return identical
 traces.  Campaigns use ``_batch_cover_sizes``, which runs big-step greedy at
 any p over a batch of packed instances and returns only their cover sizes.
 
-A ``big_step_greedy`` step is scored one of two ways: a pair step of a wide
-p=2 solve by ``_pruned_pair``, which skips the pairs that the subadditivity
-bound of Minoux's accelerated greedy rules out, and any other step, k=1 and
-the finisher search included, by ``_best_subsets``, the campaign kernel's
-scorer.  Neither masks the chosen sets, and both give the winners of plain
+``big_step_greedy`` reads the instance's masks packed once, as the cached
+(words, m) uint64 array ``Instance._packed``, and keeps the uncovered
+elements as one uint64 row that each step clears in place.  A step computes
+the gain g of every set alone once: a k=1 step, and the finisher search at
+size 1, take its first maximum; a pair step of a wide p=2 solve is scored by
+``_pruned_pair``, which takes g and skips the pairs that the subadditivity
+bound of Minoux's accelerated greedy rules out; any other step, and the
+finisher search at sizes 2..k-1, by ``_best_subsets``, the campaign kernel's
+scorer.  None masks the chosen sets, and all give the winners of plain
 enumeration.  ``_best_subsets`` lists the k-subsets in lexicographic slices,
 each unranked from its ranks by the combinatorial number system (Buckles and
 Lybanon, Algorithm 515; Knuth, TAOCP 4A 7.2.1.3), and cached whole where
@@ -95,41 +99,43 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     polynomial for fixed p.
     """
     check_int("step size p", p)
-    missing = uncoverable_elements(instance)
-    if missing:
-        raise UncoverableError(missing)
-    masks = instance.masks
-    n, m = instance.n, len(masks)
-    words = (n + 63) >> 6
-    rows = _rows(masks, words)
-    prune = p == 2 and math.comb(m, 2) * words >= _PRUNE_MIN_PAIR_WORDS
-    uncovered = (1 << n) - 1
+    rows = instance._packed
+    n, m = instance.n, rows.shape[1]
+    # the elements some set reaches; all n of them, as uint64 words with no
+    # padding bits, when the instance can be covered
+    uncovered = np.bitwise_or.reduce(rows, axis=1)
+    if int(np.bitwise_count(uncovered).sum()) < n:
+        raise UncoverableError(uncoverable_elements(instance))
+    prune = p == 2 and math.comb(m, 2) * rows.shape[0] >= _PRUNE_MIN_PAIR_WORDS
+    left = n
     chosen: list[int] = []
     steps: list[SolveStep] = []
-    while uncovered:
+    while left:
         u = m - len(chosen)
         k = p if p < u else u
-        hit = rows & _rows((uncovered,), words)
-        winner, gain = _pruned_pair(hit) if k == 2 and prune else _best_subset(hit, k)
-        left = uncovered.bit_count()
+        hit = rows & uncovered[:, None]
+        g = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
+        first = int(g.argmax())
+        single = (first,), int(g[first])
+        if k == 1:
+            winner, gain = single
+        elif k == 2 and prune:
+            winner, gain = _pruned_pair(hit, g)
+        else:
+            winner, gain = _best_subset(hit, k)
         if gain == left:
             # the first subset of least size that gains the whole remainder
             for r in range(1, k):
-                finisher, g = _best_subset(hit, r)
-                if g == left:
+                finisher, best = single if r == 1 else _best_subset(hit, r)
+                if best == left:
                     winner = finisher
                     break
         chosen.extend(winner)
         for i in winner:
-            uncovered &= ~masks[i]
+            uncovered &= ~rows[:, i]
+        left -= gain
         steps.append(SolveStep(winner, gain, math.comb(u, k)))
     return CoverSolution(tuple(chosen), instance.union_of(chosen)), SolveTrace(tuple(steps))
-
-
-def _rows(masks: tuple[int, ...], words: int) -> np.ndarray:
-    """Int masks as a (words, m) uint64 array: word w of mask i is [w, i]."""
-    raw = b"".join(s.to_bytes(words * 8, "little") for s in masks)
-    return np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), words).T.copy()
 
 
 def _best_subset(hit: np.ndarray, k: int) -> tuple[tuple[int, ...], int]:
@@ -139,58 +145,68 @@ def _best_subset(hit: np.ndarray, k: int) -> tuple[tuple[int, ...], int]:
     return tuple(subset[:, 0].tolist()), int(gain[0])
 
 
-def _pruned_pair(hit: np.ndarray) -> tuple[tuple[int, int], int]:
+def _pruned_pair(hit: np.ndarray, g: np.ndarray) -> tuple[tuple[int, int], int]:
     """The first best pair of one instance's (words, m) uncovered bits, and
-    its gain, scoring only the pairs that can still win.
+    its gain, scoring only the pairs that can still win; ``g`` is the int32
+    gain of each set alone, the popcount of its column of ``hit``.
 
     Coverage is subadditive, so a pair's gain is at most g_i + g_j, the gains
     of its two sets alone (the bound of Minoux's accelerated greedy).  The
-    exact gain L of the two sets with the highest g, taken in a stable
-    descending order, is a lower bound on the step's best gain, so every best
-    pair has g_i + g_j >= L: the scan computes exact gains for those
-    candidates only, and the highest, ties to the lexicographically smallest
-    (i, j), is the step's winner.  One ``searchsorted`` over the sorted g
-    finds each set's candidates, and their gains are gathered in slices that
-    fit ``_PAIR_SCAN_MAX_BYTES``.  At n=1000, m=400, q=0.05 a step scores
-    ~30 of the ~75,000 unchosen pairs in the median.  Chosen sets need no
-    mask, as ``big_step_greedy`` checks up front that the instance can be
-    covered: a chosen set gains 0, and the argument in
+    exact gain L of the two sets with the highest g, the first maximum and
+    the first maximum of the rest, is a lower bound on the step's best gain,
+    so every best pair has g_i + g_j >= L, and both its sets have
+    g >= L - max(g): the scan sorts those sets alone by descending g (stably),
+    computes exact gains for their pairs with g_i + g_j >= L only, and the
+    highest, ties to the lexicographically smallest (i, j), is the step's
+    winner.  One ``searchsorted`` over the sorted g finds each set's
+    candidates, and their gains are gathered in slices that fit
+    ``_PAIR_SCAN_MAX_BYTES``.  At n=1000, m=400, q=0.05 a step sorts 17 of
+    the 400 sets and scores 44 of the ~75,000 unchosen pairs in the median.
+    Chosen sets need no mask, as ``big_step_greedy`` checks up front that the
+    instance can be covered: a chosen set gains 0, and the argument in
     ``_batch_cover_sizes``' docstring carries over.
     """
-    neg = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
-    np.negative(neg, out=neg)
-    order = np.argsort(neg, kind="stable")
-    bound = int(np.bitwise_count(hit[:, order[0]] | hit[:, order[1]]).sum())
-    # Row a of the sets in that order pairs with the b > a where
-    # g[a] + g[b] >= bound; as g falls, so does each row's count, so the
-    # rows that have one lead.  Sets that gain 0, chosen ones among them,
-    # pair with none once two sets gain: such a pair gains what its other
-    # set does alone, which, the instance being coverable, some pair of
+    m = g.size
+    top = int(g.argmax())
+    rest = g.copy()
+    rest[top] = -1
+    second = int(rest.argmax())
+    gain = int(np.bitwise_count(hit[:, top] | hit[:, second]).sum())
+    key = min(top, second) * m + max(top, second)
+    # That pair stands unless a scored pair beats it.  Sets that gain 0,
+    # chosen ones among them, join no scored pair: such a pair gains what its
+    # other set does alone, which, the instance being coverable, some pair of
     # gaining sets beats unless that set finishes the cover, where the
     # finisher search settles the step.
-    neg = neg[order][: max(2, np.count_nonzero(neg))]
-    counts = np.searchsorted(neg, -bound - neg, side="right") - np.arange(1, neg.size + 1)
-    counts = counts[: np.count_nonzero(counts > 0)]
-    ends = np.cumsum(counts)
-    hit = np.take(hit, order[: neg.size], axis=1)
+    order = (g >= max(1, gain - g[top])).nonzero()[0]
+    neg = -g[order]
+    sort = neg.argsort(kind="stable")
+    order, neg = order[sort], neg[sort]
+    # Row a of the sets in that order pairs with the b > a where
+    # g[a] + g[b] >= L; as g falls, so does each row's count, so the rows
+    # that have one lead.  Counting pairs row by row from 0, pair t of row a
+    # is (a, t + shift[a]) in that order.
+    after = np.arange(1, neg.size + 1)
+    counts = neg.searchsorted(-gain - neg, side="right") - after
+    lead = np.count_nonzero(counts > 0)
+    counts = counts[:lead]
+    ends = counts.cumsum()
+    shift = after[:lead] + counts - ends
     # Slices of whole rows, each within the cap for its two gathers unless
     # one row alone is over it.
     width = max(1, _PAIR_SCAN_MAX_BYTES // (2 * _pair_bytes(hit.shape[0])))
-    m = order.size
-    gain, key = -1, 0
     for start, stop in _runs(ends, width):
         done = int(ends[start - 1]) if start else 0
         c = counts[start:stop]
-        lead = np.arange(start, stop)
-        a = np.repeat(lead, c)
-        b = np.arange(a.size) + np.repeat(lead + 1 + done + c - ends[start:stop], c)
-        union = np.take(hit, a, axis=1)
-        union |= np.take(hit, b, axis=1)
+        i = order[start:stop].repeat(c)
+        j = order.take(np.arange(done, done + i.size) + shift[start:stop].repeat(c))
+        union = hit.take(i, axis=1)
+        union |= hit.take(j, axis=1)
         gains = np.bitwise_count(union).sum(axis=0, dtype=np.int32)
         best = int(gains.max())
         if best >= gain:
             tie = gains == best
-            i, j = order[a[tie]], order[b[tie]]
+            i, j = i[tie], j[tie]
             first = int((np.minimum(i, j) * m + np.maximum(i, j)).min())
             if best > gain or first < key:
                 gain, key = best, first

@@ -1,5 +1,7 @@
 import dataclasses
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,9 +15,12 @@ from scpkit import (
     is_feasible,
     parse_instance,
     parse_orlib_scp,
+    big_step_greedy,
+    classical_greedy,
     serialize_instance,
     validate_cover,
 )
+from scpkit.core import _rows
 
 
 def test_elementset_basics():
@@ -116,6 +121,45 @@ def test_every_constructor_yields_int_masks():
         again = parse_instance(serialize_instance(inst))
         assert again == inst and hash(again) == hash(inst)
     assert built[2].masks == (0b011, 0b101)
+
+
+def test_packed_rows_are_a_read_only_cache_outside_the_fields():
+    inst = generate_instance(GeneratorConfig(n=130, m=9, q=0.3, seed=3), 0)
+    fresh = pickle.dumps(inst)
+    rows = inst._packed
+    assert rows is inst._packed
+    assert rows.dtype == np.uint64 and rows.shape == (3, 9)
+    assert np.array_equal(rows, _rows(inst.masks, 3))
+    # word w of column i holds bits 64w..64w+63 of mask i
+    for i, mask in enumerate(inst.masks):
+        assert [int(word) for word in rows[:, i]] == [mask >> 64 * w & (2**64 - 1) for w in range(3)]
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    # the cache is no field: equality, hash, repr, replace and pickling see
+    # n and masks alone, as before it was built
+    assert [f.name for f in dataclasses.fields(Instance)] == ["n", "masks"]
+    twin = Instance(inst.n, inst.masks)
+    assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
+    assert pickle.dumps(inst) == fresh == pickle.dumps(twin)
+    for copy in (pickle.loads(fresh), pickle.loads(pickle.dumps(inst)), dataclasses.replace(inst)):
+        assert copy == inst and hash(copy) == hash(inst)
+        assert "_packed" not in vars(copy)
+        assert np.array_equal(copy._packed, rows)
+    other = dataclasses.replace(inst, masks=inst.masks[:-1])
+    assert other != inst and other._packed.shape == (3, 8)
+
+
+def test_every_constructor_gives_the_same_traces():
+    inst = generate_instance(GeneratorConfig(n=70, m=12, q=0.3, seed=3), 0)
+    built = [
+        inst,
+        parse_instance(serialize_instance(inst)),
+        Instance(inst.n, list(inst.masks)),
+        Instance.from_memberships(inst.n, (s.elements() for s in inst.sets)),
+    ]
+    expected = [classical_greedy(inst)] + [big_step_greedy(inst, p) for p in (2, 3)]
+    for other in built:
+        assert [classical_greedy(other)] + [big_step_greedy(other, p) for p in (2, 3)] == expected
 
 
 def test_instance_from_memberships():

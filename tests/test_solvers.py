@@ -3,9 +3,11 @@ import math
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scpkit.core
 import scpkit.solvers
 from scpkit import Instance, UncoverableError, big_step_greedy, classical_greedy, validate_cover
 
@@ -46,7 +48,13 @@ def _full_scan(inst):
 
 def _first_hit(inst):
     """The uncovered bits of each set of inst at its first step, (words, m)."""
-    return scpkit.solvers._rows(inst.masks, (inst.n + 63) // 64)
+    return scpkit.core._rows(inst.masks, (inst.n + 63) // 64)
+
+
+def _first_pair(inst):
+    """_pruned_pair on inst's first step, with the gains of its sets alone."""
+    hit = _first_hit(inst)
+    return scpkit.solvers._pruned_pair(hit, np.bitwise_count(hit).sum(axis=0, dtype=np.int32))
 
 
 def _groups(trace):
@@ -233,6 +241,38 @@ def test_bigstep_matches_reference(nf, p):
         assert _kernel_sizes([inst], p) == [size]
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_packed_step_loop_counts_no_padding_bits(n):
+    """Keep-raw draws at n on and around the 64-bit word boundaries, where the
+    last word of the uncovered set has padding bits or none: at p = 1, 2 and
+    3 under every pair routing, a coverable draw gives the set-based
+    reference's trace, and an uncoverable one raises naming the elements in
+    no set."""
+    from scpkit import FeasibilityPolicy, GeneratorConfig, generate_instance
+
+    config = GeneratorConfig(n=n, m=12, q=0.35, seed=n, feasibility_policy=FeasibilityPolicy.KEEP_RAW)
+    outcomes = set()
+    for index in range(12):
+        inst = generate_instance(config, index)
+        family = _family(inst)
+        missing = tuple(sorted(set(range(n)).difference(*family)))
+        outcomes.add(bool(missing))
+        for path in (*_pair_paths(inst), {}):
+            with _pair_path(path):
+                for p in (1, 2, 3):
+                    if missing:
+                        with pytest.raises(UncoverableError) as err:
+                            big_step_greedy(inst, p)
+                        assert err.value.elements == missing
+                        continue
+                    cover, trace = big_step_greedy(inst, p)
+                    assert _groups(trace) == ref_bigstep(n, family, p)
+                    assert cover.covered.bits == 2**n - 1
+                    assert sum(step.newly_covered for step in trace.steps) == n
+                assert missing or list(classical_greedy(inst)[0].chosen) == ref_greedy(n, family)
+    assert outcomes == {False, True}
+
+
 @pytest.mark.parametrize("p", [3, 4])
 def test_bigstep_p3_p4_traces_match_the_reference(p):
     """Whole traces at p=3 and 4, whose steps _best_subsets scores, at the
@@ -405,8 +445,8 @@ def _pruned_solve(inst):
     original = scpkit.solvers._pruned_pair
     pruned = []
 
-    def spy(hit):
-        pruned.append(original(hit))
+    def spy(hit, g):
+        pruned.append(original(hit, g))
         return pruned[-1]
 
     with mock.patch.object(scpkit.solvers, "_pruned_pair", spy):
@@ -469,7 +509,7 @@ def test_pruned_scan_keeps_the_tie_rule_across_slices():
         10, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [0, 1, 2, 5, 6, 7], [3, 4, 5, 6, 8, 9]]
     )
     with _pair_path(PRUNED), mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 1):
-        assert scpkit.solvers._pruned_pair(_first_hit(inst)) == ((0, 1), 10)
+        assert _first_pair(inst) == ((0, 1), 10)
 
 
 def test_pair_scan_above_its_byte_cap_scores_pairs_in_slices():
@@ -667,11 +707,12 @@ def test_pruned_pair_scan_peaks_stay_far_below_the_union_figure():
     family += [range(900 + 5 * (k % 20), 905 + 5 * (k % 20)) for k in range(250)]
     inst = Instance.from_memberships(n, family)
     hit = _first_hit(inst)
+    g = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
     cap = 100_000
     with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
         tracemalloc.start()
         try:
-            best = scpkit.solvers._pruned_pair(hit)
+            best = scpkit.solvers._pruned_pair(hit, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
