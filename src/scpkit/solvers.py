@@ -4,11 +4,14 @@
 remaining)); at p=1 that is the classical greedy rule, and
 ``classical_greedy`` is exactly ``big_step_greedy(instance, 1)``, so both
 share one loop and return identical traces.  ``exact_min_cover`` is a
-small-instance oracle that proves minimum cover size.  All three are pure
-functions of their arguments and share one tie-breaking rule (lowest index /
-lexicographically smallest index tuple), so repeated calls return identical
-traces.  Campaigns use ``_batch_cover_sizes``, which runs big-step greedy at
-any p over a batch of packed instances and returns only their cover sizes.
+small-instance oracle that proves minimum cover size by iterative
+deepening; a node settles the children that its own gains show would be
+pruned on entry, counting them as nodes without entering them.  All three
+are pure functions of their arguments and share one tie-breaking rule
+(lowest index / lexicographically smallest index tuple), so repeated calls
+return identical traces.  Campaigns use ``_batch_cover_sizes``, which runs
+big-step greedy at any p over a batch of packed instances and returns only
+their cover sizes.
 
 ``big_step_greedy`` reads the instance's masks packed once, as the cached
 (words, m) uint64 array ``Instance._packed``, and keeps the uncovered
@@ -389,16 +392,28 @@ def exact_min_cover(
 ) -> CoverSolution:
     """Provably minimum-cardinality cover for small instances.
 
-    Iterative deepening over cover size: a depth-limited search branches on
-    the sets containing a least-covered uncovered element and prunes with the
-    admissible bound ceil(|uncovered| / best single-set gain).  Any minimum
-    cover may be returned, but the returned size is the unique optimum.
+    Iterative deepening over cover size (Korf): a depth-limited search
+    branches on the sets containing a least-covered uncovered element and
+    prunes with the admissible bound ceil(|uncovered| / best single-set
+    gain).  Any minimum cover may be returned, but the returned size is the
+    unique optimum.
 
-    ``budget_limit`` caps total search nodes; exceeding it raises
-    ``OracleBudgetError`` rather than returning a possibly non-optimal
-    answer.  ``prune_dominated`` drops sets contained in another set before
-    searching (optimal size is unaffected; off by default so the default
-    search examines the family exactly as given).  Intended for m up to ~25.
+    Gains only fall as the uncovered set shrinks, so a node's gains bound
+    its children's, as the stale gains of Minoux's accelerated greedy do.  A
+    node with ``left`` elements uncovered, best gain ``best`` and ``depth``
+    sets to go visits its children by descending gain, and the first child
+    gaining less than ``left - best * (depth - 1)`` would be pruned on
+    entry, as would every later one: the node counts them all as search
+    nodes, with no gains computed for them, and returns.  The branch tables
+    (each element's sets, and the elements by set count) come from
+    ``Instance._packed`` with one ``np.unpackbits``.
+
+    ``budget_limit`` caps total search nodes, settled ones included;
+    exceeding it raises ``OracleBudgetError`` rather than returning a
+    possibly non-optimal answer.  ``prune_dominated`` drops sets contained in
+    another set before searching (optimal size is unaffected; off by default
+    so the default search examines the family exactly as given).  Intended
+    for m up to ~25.
     """
     if budget_limit is not None:
         check_int("budget_limit", budget_limit)
@@ -411,29 +426,52 @@ def exact_min_cover(
     active = list(range(len(masks)))
     if prune_dominated:
         active = [i for i in active if not _is_dominated(masks, i)]
-    covers_by_element = [[i for i in active if (masks[i] >> e) & 1] for e in range(n)]
+    # the active sets' bits, element by element: nonzero of the transpose
+    # lists each element's sets in ascending index order
+    bits = np.unpackbits(
+        np.ascontiguousarray(instance._packed.T[active], dtype="<u8").view(np.uint8),
+        axis=1, count=n, bitorder="little",
+    )
+    elements, columns = bits.T.nonzero()
+    widths = np.bincount(elements, minlength=n)
+    sets = np.array(active)[columns].tolist()
+    ends = widths.cumsum().tolist()
+    covers_by_element = [sets[end - w : end] for end, w in zip(ends, widths.tolist())]
     # elements by the number of sets covering them; a stable sort keeps ties
     # in index order, so the first uncovered one is the node's branch element
-    by_width = sorted(range(n), key=lambda e: len(covers_by_element[e]))
+    by_width = widths.argsort(kind="stable").tolist()
     nodes = 0
 
-    def search(uncovered: int, depth: int) -> list[int] | None:
+    def count(k: int) -> None:
         nonlocal nodes
-        nodes += 1
+        nodes += k
         if budget_limit is not None and nodes > budget_limit:
             raise OracleBudgetError(
                 f"oracle budget exceeded: more than {budget_limit} search nodes"
             )
+
+    def search(uncovered: int, depth: int) -> list[int] | None:
+        count(1)
         if not uncovered:
             return []
         # over all sets: a dominated set never out-gains one that dominates it
         gains = [(s & uncovered).bit_count() for s in masks]
-        if -(-uncovered.bit_count() // max(gains)) > depth:
+        best = max(gains)
+        left = uncovered.bit_count()
+        if -(-left // best) > depth:
             return None
+        # A child's gains are at most these, so a child that gains less than
+        # need leaves more than its bound allows at depth - 1 and is pruned
+        # on entry; a child that gains all of left is never below need.
+        need = left - best * (depth - 1)
         branch_e = next(e for e in by_width if uncovered >> e & 1)
         # by gain, highest first; a stable sort keeps ties in index order
         order = sorted(covers_by_element[branch_e], key=gains.__getitem__, reverse=True)
-        for i in order:
+        for at, i in enumerate(order):
+            if gains[i] < need:
+                # it and every later sibling gain less: count them unentered
+                count(len(order) - at)
+                return None
             result = search(uncovered & ~masks[i], depth - 1)
             if result is not None:
                 return [i] + result

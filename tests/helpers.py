@@ -76,6 +76,47 @@ def brute_min_size(n, family):
     return None
 
 
+def ref_exact(n, family, prune_dominated=False):
+    """A minimum cover by iterative deepening, and the search nodes entered.
+
+    With ``prune_dominated``, a set inside another set, or equal to one of
+    lower index, is dropped first.  A node branches on the first uncovered
+    element in the order of elements by how many sets hold them (ties to the
+    lower element), and tries those sets by gain, highest first (ties to the
+    lower index); it is pruned when ceil(|uncovered| / best gain) exceeds the
+    depth left.  Returns ``(chosen, nodes)``; nodes counts every node
+    entered, pruned ones included.  The family must cover ``range(n)``.
+    """
+    active = [
+        i for i, s in enumerate(family)
+        if not prune_dominated
+        or not any(j != i and s <= t and (s != t or j < i) for j, t in enumerate(family))
+    ]
+    holders = {e: [i for i in active if e in family[i]] for e in range(n)}
+    by_count = sorted(range(n), key=lambda e: len(holders[e]))
+    nodes = 0
+
+    def search(uncovered, depth):
+        nonlocal nodes
+        nodes += 1
+        if not uncovered:
+            return []
+        gains = {i: len(family[i] & uncovered) for i in active}
+        if -(-len(uncovered) // max(gains.values())) > depth:
+            return None
+        e = next(e for e in by_count if e in uncovered)
+        for i in sorted(holders[e], key=lambda i: (-gains[i], i)):
+            rest = search(uncovered - family[i], depth - 1)
+            if rest is not None:
+                return [i] + rest
+        return None
+
+    depth = -(-n // max(len(s) for s in family))
+    while (chosen := search(set(range(n)), depth)) is None:
+        depth += 1
+    return chosen, nodes
+
+
 def pack_masks(instances):
     """Instances of one (n, m) shape in the batch kernel's (words, N, m) uint64
     layout, built from the int masks rather than from generator draws."""

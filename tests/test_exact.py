@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -13,7 +14,7 @@ from scpkit import (
     validate_cover,
 )
 
-from helpers import brute_min_size, families, to_instance
+from helpers import brute_min_size, families, ref_exact, to_instance
 
 
 def test_worked_example_minimum_is_two(example1):
@@ -104,3 +105,44 @@ def test_never_larger_than_either_greedy(nf):
 def test_returned_cover_validates(example1):
     cover = exact_min_cover(example1, prune_dominated=True)
     assert validate_cover(example1, cover)
+
+
+def assert_matches_ref(n, family, prune):
+    # The reference's cover comes back at a budget of exactly the nodes it
+    # entered, and one node less raises: siblings the oracle settles without
+    # entering them count as nodes all the same.
+    chosen, nodes = ref_exact(n, family, prune)
+    inst = to_instance(n, family)
+    assert exact_min_cover(inst, budget_limit=nodes, prune_dominated=prune).chosen == tuple(chosen)
+    with pytest.raises(OracleBudgetError):
+        exact_min_cover(inst, budget_limit=nodes - 1, prune_dominated=prune)
+
+
+@pytest.mark.parametrize("prune", [False, True])
+@given(families(max_n=16, max_m=8))
+@settings(max_examples=150, deadline=None)
+def test_matches_reference_search(prune, nf):
+    assert_matches_ref(*nf, prune)
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_matches_reference_search_on_oracle_draws(prune):
+    config = GeneratorConfig(n=100, m=25, q=0.3, seed=2015)
+    for index in range(100):
+        inst = generate_instance(config, index)
+        assert_matches_ref(inst.n, [set(s) for s in inst.sets], prune)
+
+
+@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_matches_reference_search_at_word_edges(n, prune):
+    # Random sets with the last element in the first one, duplicates of two
+    # of them and two empty sets: a bit read at the wrong element, or a
+    # dominated set kept or dropped wrongly, changes the nodes or the cover.
+    rng = np.random.default_rng(n)
+    family = [set(np.flatnonzero(rng.random(n) < 0.4).tolist()) for _ in range(8)]
+    family[0].add(n - 1)
+    family[3:3] = [set(), set(family[5]), set()]
+    family.append(set(family[0]))
+    family[1] |= set(range(n)) - set().union(*family)
+    assert_matches_ref(n, family, prune)
