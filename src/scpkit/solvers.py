@@ -13,19 +13,21 @@ return identical traces.  Campaigns use ``_batch_cover_sizes``, which runs
 big-step greedy at any p over a batch of packed instances and returns only
 their cover sizes.
 
-``big_step_greedy`` reads the instance's masks packed once, as the cached
-(words, m) uint64 array ``Instance._packed``, and keeps the uncovered
-elements as one uint64 row that each step clears in place.  A step computes
-the gain g of every set alone once: a k=1 step, and the finisher search at
-size 1, take its first maximum; a pair step of a wide p=2 solve is scored by
-``_pruned_pair``, which takes g and skips the pairs that the subadditivity
-bound of Minoux's accelerated greedy rules out; any other step, and the
-finisher search at sizes 2..k-1, by ``_best_subsets``, the campaign kernel's
-scorer.  None masks the chosen sets, and all give the winners of plain
-enumeration.  ``_best_subsets`` lists the k-subsets in lexicographic slices,
-each unranked from its ranks by the combinatorial number system (Buckles and
-Lybanon, Algorithm 515; Knuth, TAOCP 4A 7.2.1.3), and cached whole where
-that fits the byte cap.
+Both big-step paths run one step loop, ``_big_steps``, over packed uint64
+masks: ``big_step_greedy`` over a batch of one, the cached (words, m) array
+``Instance._packed``, keeping the trace, and ``_batch_cover_sizes`` over a
+sub-batch, keeping the sizes.  A step computes the gain g of every set alone
+once and tries the finisher sizes first, each only where the subadditivity
+bound of Minoux's accelerated greedy (the r highest g sum to at least the
+uncovered count) lets an r-subset finish; only then is the full step
+scored.  A size-1 search takes the first maximum of g; a pair step of a
+wide p=2 solve is scored by ``_pruned_pair``, which skips the pairs that the
+same bound rules out; every other size by ``_best_subsets``.  None masks the
+chosen sets, and all give the winners of plain enumeration.
+``_best_subsets`` lists the k-subsets in lexicographic slices, each unranked
+from its ranks by the combinatorial number system (Buckles and Lybanon,
+Algorithm 515; Knuth, TAOCP 4A 7.2.1.3), and cached whole where that fits
+the byte cap.
 """
 
 from __future__ import annotations
@@ -95,57 +97,118 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     redundant sets.  Indices are appended in ascending order within a step.
 
     Raises ``UncoverableError``, naming the elements in no set, before any
-    step runs.  Steps and the finisher search score the subsets of all sets,
-    chosen ones gaining 0, as ``_batch_cover_sizes`` does, and its docstring
-    shows why the winners stay.  Each step's ``candidates_evaluated`` is
-    C(u, k) by construction (u = unchosen sets), which keeps the run
-    polynomial for fixed p.
+    step runs.  The steps are those of ``_big_steps`` on a batch of one
+    instance.  Each step's ``candidates_evaluated`` is C(u, k) by
+    construction (u = unchosen sets), which keeps the run polynomial for
+    fixed p.
     """
     check_int("step size p", p)
-    rows = instance._packed
-    n, m = instance.n, rows.shape[1]
-    # the elements some set reaches; all n of them, as uint64 words with no
-    # padding bits, when the instance can be covered
-    uncovered = np.bitwise_or.reduce(rows, axis=1)
-    if int(np.bitwise_count(uncovered).sum()) < n:
-        raise UncoverableError(uncoverable_elements(instance))
-    prune = p == 2 and math.comb(m, 2) * rows.shape[0] >= _PRUNE_MIN_PAIR_WORDS
-    left = n
+    m = instance.m
     chosen: list[int] = []
     steps: list[SolveStep] = []
-    while left:
+    for _, winner, gain in _big_steps(instance._packed[:, None], instance.n, p):
         u = m - len(chosen)
-        k = p if p < u else u
-        hit = rows & uncovered[:, None]
-        g = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
-        first = int(g.argmax())
-        single = (first,), int(g[first])
-        if k == 1:
-            winner, gain = single
-        elif k == 2 and prune:
-            winner, gain = _pruned_pair(hit, g)
-        else:
-            winner, gain = _best_subset(hit, k)
-        if gain == left:
-            # the first subset of least size that gains the whole remainder
-            for r in range(1, k):
-                finisher, best = single if r == 1 else _best_subset(hit, r)
-                if best == left:
-                    winner = finisher
-                    break
-        chosen.extend(winner)
-        for i in winner:
-            uncovered &= ~rows[:, i]
-        left -= gain
-        steps.append(SolveStep(winner, gain, math.comb(u, k)))
+        step = tuple(winner[:, 0].tolist())
+        chosen.extend(step)
+        steps.append(SolveStep(step, gain.item(), math.comb(u, p if p < u else u)))
     return CoverSolution(tuple(chosen), instance.union_of(chosen)), SolveTrace(tuple(steps))
 
 
-def _best_subset(hit: np.ndarray, k: int) -> tuple[tuple[int, ...], int]:
-    """The first best k-subset of one instance's (words, m) uncovered bits,
-    and its gain."""
-    gain, subset = _best_subsets(hit[:, None], k)
-    return tuple(subset[:, 0].tolist()), int(gain[0])
+def _big_steps(
+    sets: np.ndarray, n: int, p: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run big-step greedy at step size p over a batch of instances in lockstep.
+
+    ``sets`` is a (words, N, m) uint64 array: word w of set i of instance b is
+    ``sets[w, b, i]``, its bit e being element 64*w + e.  Each time some
+    instances add sets, yields their batch positions, the (size, count)
+    indices of the sets each adds, ascending, and each one's gain.  A
+    finished instance leaves the batch.  Raises ``UncoverableError`` for the
+    first instance that its sets cannot cover, before any step runs.
+
+    All running instances have chosen the same number of sets, so each step
+    has one k = min(p, unchosen sets).  The step computes the gain g of every
+    set alone once.  Coverage is subadditive (Minoux), so an r-subset gains
+    at most the sum of its sets' g, and can finish an instance only if the r
+    highest g sum to at least its uncovered count.  Finisher sizes
+    r = 1..k-1 come first, each scored only for the instances that this
+    bound admits; an instance that some r-subset finishes adds the first
+    such subset and leaves.  The others then add their first best k-subset.
+    A k-subset gains the whole remainder exactly when some subset of at most
+    k sets does, so these are the winners of scoring the full step first
+    and then searching for a smaller finisher when it finishes.  At r=1 and
+    k=1 the first maximum of g wins.  A pair step of a batch of one, at p=2
+    and ``_PRUNE_MIN_PAIR_WORDS`` or more pair-words, is scored by
+    ``_pruned_pair``; every other size by ``_best_subsets``.
+
+    The scorers take the subsets of all m sets, and chosen sets need no mask:
+    they cover nothing uncovered, so a candidate holding some gains what its
+    unchosen part U gains.  If it ties the best candidate of its size, no
+    unchosen set reaches an uncovered element outside U: then U covers the
+    remainder, and a smaller finisher was found first.  A first finisher of
+    least size holds no chosen set either, or dropping one would leave a
+    smaller finisher.
+    """
+    words, batch, m = sets.shape
+    # the elements some set reaches: all n of them, with no padding bits, in
+    # an instance that can be covered
+    uncovered = np.bitwise_or.reduce(sets, axis=2)
+    left = np.bitwise_count(uncovered).sum(axis=0, dtype=np.int32)
+    if (left < n).any():
+        raise _uncoverable(sets[:, int((left < n).argmax())], n)
+    prune = batch == 1 and p == 2 and math.comb(m, 2) * words >= _PRUNE_MIN_PAIR_WORDS
+    at = np.arange(batch)  # batch position of each running instance
+    rows = np.arange(batch)
+    u = m
+    while True:
+        k = p if p < u else u
+        hit = sets & uncovered[:, :, None]
+        g = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
+        # k - 1 times the highest g bounds every finisher's gain
+        if k > 1 and np.count_nonzero((k - 1) * g.max(axis=1) >= left):
+            # column r - 1: the sum of each instance's r highest g
+            bound = np.sort(g, axis=1)[:, : -k : -1].cumsum(axis=1)
+            for r in range(1, k):
+                sub = (bound[:, r - 1] >= left).nonzero()[0]
+                if not sub.size:
+                    continue
+                gain, winner = _best(hit[:, sub], g[sub], r, prune, rows[: sub.size])
+                done = gain == left[sub]
+                if done.any():
+                    yield at[sub[done]], winner[:, done], gain[done]
+                    keep = np.ones(at.size, dtype=bool)
+                    keep[sub[done]] = False
+                    at, sets, hit = at[keep], sets[:, keep], hit[:, keep]
+                    uncovered, left, g, bound = uncovered[:, keep], left[keep], g[keep], bound[keep]
+                    rows = rows[: at.size]
+                    if not at.size:
+                        return
+        gain, winner = _best(hit, g, k, prune, rows)
+        yield at, winner, gain
+        left -= gain
+        if np.count_nonzero(left) < at.size:
+            running = left > 0
+            if not running.any():
+                return
+            at, sets, uncovered = at[running], sets[:, running], uncovered[:, running]
+            left, winner, rows = left[running], winner[:, running], rows[: at.size]
+        uncovered &= ~np.bitwise_or.reduce(sets[:, rows, winner], axis=1)
+        u -= k
+
+
+def _best(
+    hit: np.ndarray, g: np.ndarray, r: int, prune: bool, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # Gain and (r, N) indices of each instance's first best r-subset of its
+    # (words, N, m) uncovered bits, g being each set's (N, m) gain alone and
+    # rows arange(N); prune scores pairs of a batch of one with _pruned_pair.
+    if r == 1:
+        best = g.argmax(axis=1)
+        return g[rows, best], best[None]
+    if r == 2 and prune:
+        pair, gain = _pruned_pair(hit[:, 0], g[0])
+        return np.array([gain], dtype=np.int32), np.array(pair)[:, None]
+    return _best_subsets(hit, r)
 
 
 def _pruned_pair(hit: np.ndarray, g: np.ndarray) -> tuple[tuple[int, int], int]:
@@ -165,9 +228,9 @@ def _pruned_pair(hit: np.ndarray, g: np.ndarray) -> tuple[tuple[int, int], int]:
     candidates, and their gains are gathered in slices that fit
     ``_PAIR_SCAN_MAX_BYTES``.  At n=1000, m=400, q=0.05 a step sorts 17 of
     the 400 sets and scores 44 of the ~75,000 unchosen pairs in the median.
-    Chosen sets need no mask, as ``big_step_greedy`` checks up front that the
-    instance can be covered: a chosen set gains 0, and the argument in
-    ``_batch_cover_sizes``' docstring carries over.
+    Chosen sets need no mask, as ``_big_steps`` checks up front that the
+    instance can be covered: a chosen set gains 0, and the argument in its
+    docstring carries over.
     """
     m = g.size
     top = int(g.argmax())
@@ -179,8 +242,8 @@ def _pruned_pair(hit: np.ndarray, g: np.ndarray) -> tuple[tuple[int, int], int]:
     # That pair stands unless a scored pair beats it.  Sets that gain 0,
     # chosen ones among them, join no scored pair: such a pair gains what its
     # other set does alone, which, the instance being coverable, some pair of
-    # gaining sets beats unless that set finishes the cover, where the
-    # finisher search settles the step.
+    # gaining sets beats, as no set alone finishes the cover: the finisher
+    # search has ruled that out before the pair step.
     order = (g >= max(1, gain - g[top])).nonzero()[0]
     neg = -g[order]
     sort = neg.argsort(kind="stable")
@@ -248,56 +311,12 @@ def _pack(draws: np.ndarray, n: int) -> np.ndarray:
 
 
 def _batch_cover_sizes(sets: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Cover sizes of ``big_step_greedy(instance, p)`` for a batch of instances.
-
-    ``sets`` is a (words, N, m) uint64 array: word w of set i of instance b is
-    ``sets[w, b, i]``, its bit e being element 64*w + e.  The instances run in
-    lockstep, and a finished instance leaves the batch.  Each step scores the
-    k-subsets of all m sets, k = 1..min(p, m), in lexicographic order, on the
-    uncovered elements.  An instance finishes at the first k < min(p, m) where
-    a k-subset gains its whole remainder, adding the first such subset (the
-    finisher search's rule); otherwise it adds its first best min(p, m)-subset.
-    ``argmax`` keeps the scalar solvers' tie rule.
-
-    Chosen sets need no mask: they cover nothing uncovered, so a candidate
-    holding some gains what its unchosen part U gains.  If it ties the best
-    candidate of its size, no unchosen set reaches an uncovered element
-    outside U: then U covers the remainder, and a smaller finisher is found
-    first, or no cover exists.  A first finisher of least size holds no
-    chosen set either, or dropping one would leave a smaller finisher, and
-    with fewer than p sets unchosen a coverable instance finishes below size
-    p.  Raises ``UncoverableError`` for an instance its sets cannot cover.
-    """
-    words, batch, m = sets.shape
-    top = min(p, m)
-    uncovered = np.full((words, batch), np.uint64(2**64 - 1))
-    if n % 64:
-        uncovered[-1] = np.uint64((1 << (n % 64)) - 1)
-    sizes = np.zeros(batch, dtype=np.int64)
-    rows = np.arange(batch)  # batch position of each running instance
-    while rows.size:
-        hit = sets & uncovered[:, :, None]
-        for k in range(1, top):
-            gain, _ = _best_subsets(hit, k)
-            finish = gain == np.bitwise_count(uncovered).sum(axis=0, dtype=np.int32)
-            if finish.any():
-                sizes[rows[finish]] += k
-                running = ~finish
-                rows, sets, hit, uncovered = (
-                    rows[running], sets[:, running], hit[:, running], uncovered[:, running]
-                )
-                if not rows.size:
-                    return sizes
-        gain, winner = _best_subsets(hit, top)
-        if gain.min() == 0:
-            raise _uncoverable(sets[:, int(gain.argmin())], n)
-        sizes[rows] += top
-        r = np.arange(rows.size)
-        for i in winner:
-            uncovered &= ~sets[:, r, i]
-        running = uncovered.any(axis=0)
-        if not running.all():
-            rows, sets, uncovered = rows[running], sets[:, running], uncovered[:, running]
+    """Cover sizes of ``big_step_greedy(instance, p)`` for a batch of instances,
+    from ``_big_steps`` over the (words, N, m) array ``sets``.  Raises
+    ``UncoverableError`` for an instance its sets cannot cover."""
+    sizes = np.zeros(sets.shape[1], dtype=np.int64)
+    for at, winner, _ in _big_steps(sets, n, p):
+        sizes[at] += len(winner)
     return sizes
 
 
@@ -306,10 +325,6 @@ def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # (words, N, m) uncovered bits, in slices whose temporaries fit the cap;
     # a later slice wins only if larger.
     words, rows, m = hit.shape
-    if k == 1:
-        gains = np.bitwise_count(hit).sum(axis=0, dtype=np.int32)
-        best = gains.argmax(axis=1)
-        return gains[np.arange(rows), best], best[None]
     gain = winner = None
     # each subset also holds its k index rows, and two more while unranked
     width = max(1, _PAIR_SCAN_MAX_BYTES // (rows * _pair_bytes(words) + 8 * k + 16))

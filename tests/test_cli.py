@@ -193,13 +193,14 @@ def test_feasprob(capsys):
 
 
 def test_step_too_large_to_enumerate_is_a_clean_error(tmp_path):
-    # p=35 of m=70 sets is a step of C(70, 35) > 2**63 - 1 subsets
-    cli = [sys.executable, "-m", "scpkit"]
-    gen = ["gen", "--n", "20", "--m", "70", "--q", "0.3", "--seed", "1", "--count", "1"]
-    subprocess.run(cli + gen + ["--out", str(tmp_path)], check=True, capture_output=True)
-    path = str(tmp_path / "instance_000000.scp")
+    # p=35 of m=70 sets is a step of C(70, 35) > 2**63 - 1 subsets.  With
+    # the 70 singletons of 70 elements, no 34 sets or fewer can finish the
+    # cover, so the step cannot be settled by the finisher search.
+    path = tmp_path / "singletons.scp"
+    path.write_text("70 70\n" + "".join(f"1 {e}\n" for e in range(70)))
     result = subprocess.run(
-        cli + ["solve", "--algo", "bigstep", "--p", "35", "--input", path],
+        [sys.executable, "-m", "scpkit", "solve", "--algo", "bigstep", "--p", "35",
+         "--input", str(path)],
         capture_output=True,
         text=True,
         timeout=60,

@@ -221,7 +221,7 @@ def test_greedy_matches_reference(nf):
     assert validate_cover(inst, cover)
 
 
-@given(families(max_n=130), st.integers(1, 4))
+@given(families(max_n=130), st.integers(1, 9))
 @settings(max_examples=200)
 def test_bigstep_matches_reference(nf, p):
     # every pair scorer, forced, and the default routing, step by step; the
@@ -441,7 +441,9 @@ def test_pruned_pair_scan_matches_full_scans_on_generated_instances():
 
 def _pruned_solve(inst):
     """inst at p=2 under the default routing, asserting that _pruned_pair
-    settled every step: one call per step, whose gain the step took."""
+    settled every pair step: one call per step that adds two sets, whose
+    gain the step took.  Only the last step may add one set, a finisher
+    found before any pair is scored."""
     original = scpkit.solvers._pruned_pair
     pruned = []
 
@@ -451,7 +453,9 @@ def _pruned_solve(inst):
 
     with mock.patch.object(scpkit.solvers, "_pruned_pair", spy):
         result = big_step_greedy(inst, 2)
-    assert [gain for _, gain in pruned] == [step.newly_covered for step in result[1].steps]
+    pairs = [step.newly_covered for step in result[1].steps if len(step.chosen) == 2]
+    assert [gain for _, gain in pruned] == pairs
+    assert len(pairs) >= len(result[1].steps) - 1
     return result
 
 
@@ -605,9 +609,9 @@ def test_unranked_slices_are_the_lexicographic_subsets():
 
 def test_layouts_of_more_than_half_the_sets_are_unranked_directly():
     """Layouts of k > m/2 sets are the lexicographic k-subsets, and a solve
-    at p near m builds none through the C(m, m/2) subsets of half the sets:
-    at m=30 every layout asked for holds at most 10**6 subsets, checked
-    before it is built, and the traces match the reference."""
+    at p near m builds no layout of more sets than its finisher: at m=30 the
+    one step is settled by the finisher search, every layout asked for is
+    checked before it is built, and the traces match the reference."""
     import itertools
 
     from scpkit import GeneratorConfig, generate_instance
@@ -619,7 +623,7 @@ def test_layouts_of_more_than_half_the_sets_are_unranked_directly():
             assert subsets == list(itertools.combinations(range(m), k))
 
     def spy(m, k):
-        assert math.comb(m, k) <= 10**6, f"_layout({m}, {k})"
+        assert k <= need, f"_layout({m}, {k})"
         return original(m, k)
 
     original.cache_clear()
@@ -627,8 +631,34 @@ def test_layouts_of_more_than_half_the_sets_are_unranked_directly():
         for seed in range(5):
             inst = generate_instance(GeneratorConfig(n=10, m=30, q=0.3, seed=seed), 0)
             for p in (27, 28, 29, 30, 32):
+                expected = ref_bigstep(10, _family(inst), p)
+                assert len(expected) == 1
+                need = len(expected[0])
                 _, trace = big_step_greedy(inst, p)
-                assert _groups(trace) == ref_bigstep(10, _family(inst), p)
+                assert _groups(trace) == expected
+
+
+def test_finisher_sizes_come_before_the_full_step():
+    """At n=20, m=70 three sets cover everything: at p = 4, 12 and 35 the
+    finisher search adds them before the full step is scored, so the one
+    step counts C(70, p) candidates but no layout of more than 3 sets is
+    asked for, though C(70, 12) is ~10**13 subsets and C(70, 35) is past
+    int64 ranks.  The batch kernel, on the same loop, gives size 3."""
+    from scpkit import GeneratorConfig, generate_instance
+
+    inst = generate_instance(GeneratorConfig(20, 70, 0.3, 1), 0)
+    original = scpkit.solvers._layouts
+
+    def spy(m, k, width):
+        assert k <= 3, f"_layouts({m}, {k})"
+        return original(m, k, width)
+
+    with mock.patch.object(scpkit.solvers, "_layouts", spy):
+        for p in (4, 12, 35):
+            cover, trace = big_step_greedy(inst, p)
+            assert trace.steps == (scpkit.core.SolveStep((11, 47, 55), 20, math.comb(70, p)),)
+            assert cover.chosen == (11, 47, 55)
+            assert _kernel_sizes([inst], p) == [3]
 
 
 def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
@@ -648,7 +678,7 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
         scpkit.solvers._layout.cache_clear()  # its index rows count too
         tracemalloc.start()
         try:
-            scpkit.solvers._best_subset(hit, 2)
+            scpkit.solvers._best_subsets(hit[:, None], 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
