@@ -5,9 +5,11 @@ runs both solvers on each, and tallies which found the smaller cover.  Work
 is sharded by instance-index ranges and tallies merge by addition, so any
 worker count produces the identical table.
 
-Every row is solved in batches: the draws of a sub-batch are packed into
-one uint64 array and both greedy rules run on it in lockstep, in a kernel
-that returns the cover sizes of the scalar solvers, for any p.
+Every row is solved in batches: the generator returns the accepted draws of
+a sub-batch as one packed uint64 array (under keep-raw, the draws whose
+coverage count falls short of n are dropped), and both greedy rules run on
+it in lockstep, in a kernel that returns the cover sizes of the scalar
+solvers, for any p.
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Instance, check_int
+from .core import Instance, _reach, check_int
 from .generate import (
     FeasibilityPolicy,
     GeneratorConfig,
     ResampleLimitError,
-    _covers_universe,
     _draws,
 )
-from .solvers import _batch_cover_sizes, _batch_size, _pack, big_step_greedy, classical_greedy
+from .solvers import _batch_cover_sizes, _batch_size, big_step_greedy, classical_greedy
 
 
 class Outcome(enum.Enum):
@@ -105,12 +106,11 @@ def _tally_range(args: tuple) -> tuple[int, int, int]:
     step = _batch_size(spec.n, m, spec.p)
     wins = losses = 0
     for start in range(lo, hi, step):
-        draws = _draws(config, range(start, min(start + step, hi)))
+        sets = _draws(config, range(start, min(start + step, hi)))
         if screen:
-            draws = draws[_covers_universe(draws)]
-        if not len(draws):
+            sets = sets[:, _reach(sets)[1] == spec.n]
+        if not sets.shape[1]:
             continue
-        sets = _pack(draws, spec.n)
         big = _batch_cover_sizes(sets, spec.n, spec.p)
         greedy = _batch_cover_sizes(sets, spec.n, 1)
         wins += int((big < greedy).sum())

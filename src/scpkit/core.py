@@ -2,12 +2,19 @@
 
 Elements are dense integers ``0..n-1``; a set of elements is an int bit mask
 (bit ``e`` set means element ``e`` is a member).  ``Instance`` holds plain
-masks; ``ElementSet`` wraps one at the API edges.  The scalar solvers read an
-instance's masks packed once into a read-only (words, m) uint64 array,
-``Instance._packed``, which the instance caches on first use outside its
-fields, so equality, hashing, ``repr``, ``dataclasses.replace`` and pickling
-see only ``n`` and ``masks``.  All types are immutable, so instances and
-solutions can be shared between workers.
+masks; ``ElementSet`` wraps one at the API edges.  All types are immutable,
+so instances and solutions can be shared between workers.
+
+This module also owns the packed layout that the solvers read: word w of a
+set is a uint64 holding its elements 64*w .. 64*w + 63, low bit first, and
+an instance is a (words, m) array, a batch of N instances a (words, N, m)
+one.  ``_rows`` packs int masks and ``_pack`` bool membership draws;
+``Instance._of_rows`` builds an instance from packed rows through the public
+constructor.  ``Instance._packed`` caches an instance's rows, read-only and
+outside its fields, so equality, hashing, ``repr``, ``dataclasses.replace``
+and pickling see only ``n`` and ``masks``.  ``_reach`` gives the coverage
+count of packed sets, the popcount of their union, and ``_missing`` the
+elements outside that union.
 """
 
 from __future__ import annotations
@@ -88,11 +95,13 @@ class ElementSet:
         return 0 <= element < self.width and (self.bits >> element) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        # the binary digits, lowest first, so element e is digit e: each find
+        # resumes where the last stopped, which keeps a listing linear in n
+        digits = bin(self.bits)[:1:-1]
+        e = digits.find("1")
+        while e >= 0:
+            yield e
+            e = digits.find("1", e + 1)
 
     def elements(self) -> tuple[int, ...]:
         return tuple(self)
@@ -124,6 +133,32 @@ def _rows(masks: tuple[int, ...], words: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint64).reshape(len(masks), words).T.copy()
 
 
+def _pack(draws: np.ndarray, n: int) -> np.ndarray:
+    """An (N, m, n) bool array of memberships (``draws[b, i, j]``: element j
+    is in set i of instance b) as a (words, N, m) uint64 array, word w of set
+    i of instance b at [w, b, i], through one ``np.packbits`` call."""
+    batch, m, _ = draws.shape
+    packed = np.zeros((batch, m, ((n + 63) >> 6) * 8), dtype=np.uint8)
+    packed[:, :, : (n + 7) >> 3] = np.packbits(draws, axis=2, bitorder="little")
+    return np.ascontiguousarray(packed.view("<u8").transpose(2, 0, 1))
+
+
+def _reach(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the sets of a (words, ..., m) packed array, (words, ...),
+    and the int32 count of its elements, the coverage count: an instance can
+    be covered exactly when that count is n."""
+    union = np.bitwise_or.reduce(sets, axis=-1)
+    return union, np.bitwise_count(union).sum(axis=0, dtype=np.int32)
+
+
+def _missing(rows: np.ndarray, n: int) -> tuple[int, ...]:
+    """The elements of ``0..n-1`` that no set of a (words, m) packed array
+    contains, ascending."""
+    union = np.ascontiguousarray(np.bitwise_or.reduce(rows, axis=1), dtype="<u8")
+    bits = np.unpackbits(union.view(np.uint8), count=n, bitorder="little")
+    return tuple(np.flatnonzero(bits == 0).tolist())
+
+
 @dataclass(frozen=True)
 class Instance:
     """A set-cover instance: universe size ``n`` and an ordered set family.
@@ -150,6 +185,21 @@ class Instance:
     @classmethod
     def from_memberships(cls, n: int, memberships: Iterable[Iterable[int]]) -> "Instance":
         return cls(n, tuple(ElementSet.from_elements(n, ms).bits for ms in memberships))
+
+    @classmethod
+    def _of_rows(cls, n: int, rows: np.ndarray) -> "Instance":
+        """The instance of a (words, m) uint64 array laid out as ``_packed``:
+        one int per column, through the public constructor and its checks,
+        with ``_packed`` seeded by a read-only copy of ``rows``."""
+        width = 8 * rows.shape[0]
+        data = np.ascontiguousarray(rows.T, dtype="<u8").tobytes()
+        instance = cls(
+            n, tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+        )
+        packed = rows.copy()
+        packed.flags.writeable = False
+        vars(instance)["_packed"] = packed
+        return instance
 
     @functools.cached_property
     def _packed(self) -> np.ndarray:
@@ -227,8 +277,7 @@ class SolveTrace:
 
 def uncoverable_elements(instance: Instance) -> tuple[int, ...]:
     """The elements that no set contains, ascending; empty iff a cover exists."""
-    reach = instance.union_of(range(instance.m)).bits
-    return ElementSet(((1 << instance.n) - 1) & ~reach, instance.n).elements()
+    return _missing(instance._packed, instance.n)
 
 
 def is_feasible(instance: Instance) -> bool:

@@ -7,11 +7,12 @@ elements..." with 0-based ascending elements.  Round-trips exactly.
 digits, spaces and newlines (everything ``serialize_instance`` writes) take
 a bulk path: numpy reads every token at once, checks the header, the set
 count, each cardinality, the ranges and the duplicates in vector form, and
-packs the masks with one ``np.packbits``.  Its (m, n) bool scratch is built
-only when m * n is at most 64 times the text's length, so its memory stays
-bounded by the input.  Any other text, a text over that bound, and any text
-that fails a check go to the line-by-line loop, which parses it from the
-start and reports the error with its line number.
+packs its (m, n) bool scratch with ``core._pack`` into the rows that
+``Instance._of_rows`` reads.  The scratch is built only when m * n is at
+most 64 times the text's length, so its memory stays bounded by the input.
+Any other text, a text over that bound, and any text that fails a check go
+to the line-by-line loop, which parses it from the start and reports the
+error with its line number.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .core import Instance
+from .core import Instance, _pack
 
 
 class ParseError(ValueError):
@@ -103,11 +104,7 @@ def _parse_bulk(text: str) -> Instance | None:
     hits[np.repeat(np.arange(m), counts), elements] = True
     if np.count_nonzero(hits) != elements.size:  # a duplicate set a cell twice
         return None
-    packed = np.packbits(hits, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    masks = tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
-    return Instance(n, masks)
+    return Instance._of_rows(n, _pack(hits[None], n)[:, 0])
 
 
 def _parse_lines(text: str) -> Instance:

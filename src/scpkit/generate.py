@@ -14,6 +14,10 @@ applies PCG64's seeding step, state = ((inc + initstate) * MULT + inc) mod
 2^128 with inc = 2 * initseq + 1.  ``_draws`` loads that state into one
 reused generator per thread.  The substreams, and so every instance, are the
 ones ``SeedSequence`` and ``PCG64`` give; a differential test holds them equal.
+
+Draws are bools, packed by ``core._pack`` into the solvers' uint64 layout and
+screened by the coverage count ``core._reach``; ``generate_instance`` is
+``Instance._of_rows`` over those packed rows.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, check_int
+from .core import Instance, _pack, _reach, check_int
 from .solvers import _BATCH_MAX_BYTES
 
 
@@ -80,7 +84,7 @@ def generate_instance(config: GeneratorConfig, instance_index: int) -> Instance:
     keep-raw the first draw is returned as-is, feasible or not.
     """
     check_int("instance_index", instance_index, 0)
-    return _build(_draws(config, [instance_index])[0], config.n)
+    return Instance._of_rows(config.n, _draws(config, [instance_index])[:, 0])
 
 
 def feasibility_probability(config: GeneratorConfig) -> float:
@@ -93,22 +97,24 @@ def feasibility_probability(config: GeneratorConfig) -> float:
 
 
 def _draws(config: GeneratorConfig, indices: Sequence[int]) -> np.ndarray:
-    """The accepted draws of instances ``indices`` as an (N, m, n) bool array:
-    ``draws[b, i, j]`` is True when element j is in set i of instance
-    ``indices[b]``.
+    """The accepted draws of instances ``indices``, packed by ``core._pack``
+    into a (words, N, m) uint64 array: word w of set i of instance
+    ``indices[b]`` is ``[w, b, i]``.
 
     Each instance's substream state is loaded into this thread's generator,
     and candidates are drawn into one reused float buffer.  Every instance
-    first draws its first candidate, and the batch is screened at once, which
+    first draws its first candidate into an (N, m, n) bool array, which is
+    packed, and the batch is screened at once by its coverage count, which
     costs less than a screen per instance where most first draws cover.  Under
     reject-resample a rejected instance then redraws in blocks of
     ``_block_width(config)`` candidates (floor(1/P), P being
     ``feasibility_probability(config)``), skipping the first candidate's
     doubles; the first candidate of a block that covers the universe wins, and
     a block never runs past the redraw cap, so the stream and the cap are
-    those of drawing candidates one at a time.  Raises ``ResampleLimitError``
-    once the first draw and ``config.max_redraws`` redraws of an instance are
-    all rejected.
+    those of drawing candidates one at a time.  The accepted redraws go into
+    the bool array, and the redrawn instances are packed again in one call at
+    the end.  Raises ``ResampleLimitError`` once the first draw and
+    ``config.max_redraws`` redraws of an instance are all rejected.
     """
     n, m, q = config.n, config.m, config.q
     width = _block_width(config)
@@ -120,9 +126,11 @@ def _draws(config: GeneratorConfig, indices: Sequence[int]) -> np.ndarray:
         _restart(rng, state)
         rng.random(out=buffer[0])
         np.less(buffer[0], q, out=draws[b])
+    sets = _pack(draws, n)
     if config.feasibility_policy is FeasibilityPolicy.KEEP_RAW:
-        return draws
-    for b in np.flatnonzero(~_covers_universe(draws)):
+        return sets
+    redrawn = np.flatnonzero(_reach(sets)[1] < n)
+    for b in redrawn:
         _restart(rng, states[b], skip=m * n)
         left = config.max_redraws
         while left:
@@ -139,7 +147,9 @@ def _draws(config: GeneratorConfig, indices: Sequence[int]) -> np.ndarray:
                 f"at (n={n}, m={m}, q={q}), where the analytic feasibility probability "
                 f"is {feasibility_probability(config):.4g}"
             )
-    return draws
+    if redrawn.size:
+        sets[:, redrawn] = _pack(draws[redrawn], n)
+    return sets
 
 
 def _block_width(config: GeneratorConfig) -> int:
@@ -149,11 +159,6 @@ def _block_width(config: GeneratorConfig) -> int:
     cap = max(1, min(config.max_redraws, _BATCH_MAX_BYTES // (8 * config.m * config.n)))
     p = feasibility_probability(config)
     return int(min(cap, 1 / p)) if p > 0 else cap
-
-
-def _covers_universe(draws: np.ndarray) -> np.ndarray:
-    """Which of an (N, m, n) bool batch of draws cover the universe."""
-    return draws.any(axis=1).all(axis=1)
 
 
 def _first_cover(block: np.ndarray, q: float) -> int | None:
@@ -270,25 +275,3 @@ def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
     value = (value * hash_const) & _MASK32
     return hash_const, value ^ (value >> 16)
 
-
-# Bytes of packed rows that _build reads as one int.
-_BUILD_BLOCK_BYTES = 128
-
-
-def _build(bits: np.ndarray, n: int) -> Instance:
-    # Rows are packed little-endian and read as ints a block of up to
-    # _BUILD_BLOCK_BYTES at a time, each row shifted out of its block: for
-    # narrow rows that costs less than one bytes slice and int.from_bytes per
-    # set, while shifting a block of wide rows costs more, so a row over half
-    # the block is a block of its own.
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    data = packed.tobytes()
-    width = packed.shape[1]
-    block = max(1, _BUILD_BLOCK_BYTES // width) * width
-    masks = [int.from_bytes(data[lo : lo + block], "little") for lo in range(0, len(data), block)]
-    if block > width:
-        step = 8 * width
-        row_mask = (1 << step) - 1
-        shifts = range(0, 8 * block, step)
-        masks = [value >> s & row_mask for value in masks for s in shifts][: bits.shape[0]]
-    return Instance(n, tuple(masks))

@@ -13,17 +13,19 @@ return identical traces.  Campaigns use ``_batch_cover_sizes``, which runs
 big-step greedy at any p over a batch of packed instances and returns only
 their cover sizes.
 
-Both big-step paths run one step loop, ``_big_steps``, over packed uint64
-masks: ``big_step_greedy`` over a batch of one, the cached (words, m) array
-``Instance._packed``, keeping the trace, and ``_batch_cover_sizes`` over a
-sub-batch, keeping the sizes.  A step computes the gain g of every set alone
-once and tries the finisher sizes first, each only where the subadditivity
-bound of Minoux's accelerated greedy (the r highest g sum to at least the
-uncovered count) lets an r-subset finish; only then is the full step
-scored.  A size-1 search takes the first maximum of g; a pair step of a
-wide p=2 solve is scored by ``_pruned_pair``, which skips the pairs that the
-same bound rules out; every other size by ``_best_subsets``.  None masks the
-chosen sets, and all give the winners of plain enumeration.
+Both big-step paths run one step loop, ``_big_steps``, over the packed
+uint64 layout of ``core``: ``big_step_greedy`` over a batch of one, the cached
+(words, m) array ``Instance._packed``, keeping the trace, and
+``_batch_cover_sizes`` over a sub-batch of generator draws, keeping the
+sizes.  The loop checks coverability with ``core._reach`` and names what is
+missing with ``core._missing``.  A step computes the gain g of every set
+alone once and tries the finisher sizes first, each only where the
+subadditivity bound of Minoux's accelerated greedy (the r highest g sum to
+at least the uncovered count) lets an r-subset finish; only then is the
+full step scored.  A size-1 search takes the first maximum of g; a pair
+step of a wide p=2 solve is scored by ``_pruned_pair``, which skips the
+pairs that the same bound rules out; every other size by ``_best_subsets``.
+None masks the chosen sets, and all give the winners of plain enumeration.
 ``_best_subsets`` lists the k-subsets in lexicographic slices, each unranked
 from its ranks by the combinatorial number system (Buckles and Lybanon,
 Algorithm 515; Knuth, TAOCP 4A 7.2.1.3), and cached whole where that fits
@@ -40,11 +42,12 @@ import numpy as np
 
 from .core import (
     CoverSolution,
-    ElementSet,
     Instance,
     SolveStep,
     SolveTrace,
     UncoverableError,
+    _missing,
+    _reach,
     check_int,
     uncoverable_elements,
 )
@@ -152,10 +155,9 @@ def _big_steps(
     words, batch, m = sets.shape
     # the elements some set reaches: all n of them, with no padding bits, in
     # an instance that can be covered
-    uncovered = np.bitwise_or.reduce(sets, axis=2)
-    left = np.bitwise_count(uncovered).sum(axis=0, dtype=np.int32)
+    uncovered, left = _reach(sets)
     if (left < n).any():
-        raise _uncoverable(sets[:, int((left < n).argmax())], n)
+        raise UncoverableError(_missing(sets[:, int((left < n).argmax())], n))
     prune = batch == 1 and p == 2 and math.comb(m, 2) * words >= _PRUNE_MIN_PAIR_WORDS
     at = np.arange(batch)  # batch position of each running instance
     rows = np.arange(batch)
@@ -300,16 +302,6 @@ def _batch_size(n: int, m: int, p: int) -> int:
     return max(1, _BATCH_MAX_BYTES // (candidates * _pair_bytes((n + 63) >> 6)))
 
 
-def _pack(draws: np.ndarray, n: int) -> np.ndarray:
-    """An (N, m, n) bool array of membership draws (``draws[b, i, j]``: element
-    j is in set i of instance b) as the (words, N, m) uint64 layout of
-    ``_batch_cover_sizes``, through one ``np.packbits`` call."""
-    batch, m, _ = draws.shape
-    packed = np.zeros((batch, m, ((n + 63) >> 6) * 8), dtype=np.uint8)
-    packed[:, :, : (n + 7) >> 3] = np.packbits(draws, axis=2, bitorder="little")
-    return np.ascontiguousarray(packed.view("<u8").transpose(2, 0, 1))
-
-
 def _batch_cover_sizes(sets: np.ndarray, n: int, p: int) -> np.ndarray:
     """Cover sizes of ``big_step_greedy(instance, p)`` for a batch of instances,
     from ``_big_steps`` over the (words, N, m) array ``sets``.  Raises
@@ -391,12 +383,6 @@ def _unrank(m: int, k: int, start: int, stop: int) -> np.ndarray:
     # C(d, 1) = d, so the remainder is the last d
     np.subtract(m - 1, rest, out=rest)
     return rows
-
-
-def _uncoverable(sets: np.ndarray, n: int) -> UncoverableError:
-    # The elements that none of an instance's (words, m) sets contains.
-    reach = int.from_bytes(np.bitwise_or.reduce(sets, axis=1).astype("<u8").tobytes(), "little")
-    return UncoverableError(ElementSet(((1 << n) - 1) & ~reach, n).elements())
 
 
 def exact_min_cover(

@@ -212,6 +212,22 @@ def test_step_too_large_to_enumerate_is_a_clean_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_uncoverable_wide_universe_is_listed_in_linear_time(tmp_path):
+    # One set of one element in a universe of 2,000,000: listing the
+    # 1,999,999 uncoverable elements must not cost a scan of n bits each.
+    path = tmp_path / "wide.scp"
+    path.write_text("2000000 1\n1 5\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "scpkit", "solve", "--algo", "greedy", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "scpkit: error: uncoverable elements: 0, 1, 2, 3, 4, 6, 7, 8, ...\n"
+
+
 def test_module_entry_point(example1_file):
     result = subprocess.run(
         [sys.executable, "-m", "scpkit", "solve", "--algo", "greedy", "--input", example1_file],

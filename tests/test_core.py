@@ -150,6 +150,9 @@ def test_packed_rows_are_a_read_only_cache_outside_the_fields():
 
 
 def test_every_constructor_gives_the_same_traces():
+    """generate_instance and the bulk parser build through Instance._of_rows,
+    which seeds _packed; the others build it on first use.  Either way the
+    rows are _rows of the masks, read-only, and no pickle or copy holds them."""
     inst = generate_instance(GeneratorConfig(n=70, m=12, q=0.3, seed=3), 0)
     built = [
         inst,
@@ -157,9 +160,17 @@ def test_every_constructor_gives_the_same_traces():
         Instance(inst.n, list(inst.masks)),
         Instance.from_memberships(inst.n, (s.elements() for s in inst.sets)),
     ]
+    assert "_packed" in vars(built[0]) and "_packed" in vars(built[1])
+    fresh = pickle.dumps(Instance(inst.n, inst.masks))
     expected = [classical_greedy(inst)] + [big_step_greedy(inst, p) for p in (2, 3)]
     for other in built:
         assert [classical_greedy(other)] + [big_step_greedy(other, p) for p in (2, 3)] == expected
+        rows = other._packed
+        assert rows.dtype == np.uint64 and np.array_equal(rows, _rows(inst.masks, 2))
+        assert not rows.flags.writeable
+        assert pickle.dumps(other) == fresh
+        for copy in (pickle.loads(fresh), pickle.loads(pickle.dumps(other)), dataclasses.replace(other)):
+            assert copy == inst and "_packed" not in vars(copy)
 
 
 def test_instance_from_memberships():

@@ -10,12 +10,14 @@ from scpkit import (
     CampaignSpec,
     FeasibilityPolicy,
     GeneratorConfig,
+    Instance,
     ResampleLimitError,
     feasibility_probability,
     generate_instance,
     is_feasible,
 )
-from scpkit.generate import _block_width, _build, _draws, _pcg64_state
+from scpkit.core import _pack
+from scpkit.generate import _block_width, _draws, _pcg64_state
 
 
 def test_same_config_and_index_is_bitwise_identical():
@@ -112,12 +114,12 @@ def test_batched_draws_equal_one_index_at_a_time():
         for q in (0.35, 0.6):  # P = 0.025 (redraw blocks of 40) and 0.73
             config = GeneratorConfig(n=30, m=5, q=q, seed=11, feasibility_policy=policy)
             batch = _draws(config, indices)
-            assert batch.shape == (len(indices), 5, 30)
+            assert batch.shape == (1, len(indices), 5) and batch.dtype == np.uint64
             for b, index in enumerate(indices):
-                assert np.array_equal(batch[b], _draws(config, [index])[0])
+                assert np.array_equal(batch[:, b], _draws(config, [index])[:, 0])
             if policy is FeasibilityPolicy.KEEP_RAW:
                 raw = [_raw_candidates(config, index, 1)[0] for index in indices]
-                assert np.array_equal(batch, np.stack(raw))
+                assert np.array_equal(batch, _pack(np.stack(raw), 30))
 
 
 def test_threads_share_no_generator_state():
@@ -138,15 +140,19 @@ def test_threads_share_no_generator_state():
 
 
 def test_build_reads_each_row_as_its_mask():
-    """Rows narrower than a block share one int; wider ones are read alone.
-    Widths span a 64-bit word and the block size, and m leaves a short last
-    block."""
+    """``Instance._of_rows`` over ``_pack`` reads each column as its set's
+    mask, at widths on both sides of byte and 64-bit word boundaries."""
     rng = np.random.default_rng(3)
     for n in (1, 7, 8, 9, 63, 64, 65, 100, 505, 512, 513, 1016, 1024, 1025, 3000):
         for m in (1, 9, 25, 31):
             bits = rng.random((m, n)) < 0.3
             expected = tuple(sum(1 << int(e) for e in np.flatnonzero(row)) for row in bits)
-            assert _build(bits, n).masks == expected
+            assert Instance._of_rows(n, _pack(bits[None], n)[:, 0]).masks == expected
+    # a padding bit past n fails the public constructor's check
+    rows = _pack(np.zeros((1, 2, 100), dtype=bool), 100)[:, 0]
+    rows[1, 1] = 1 << 36
+    with pytest.raises(ValueError, match=rf"masks\[1\] = {1 << 100:#x} has bits outside 0\.\.99"):
+        Instance._of_rows(100, rows)
 
 
 def test_q_one_gives_full_sets():
