@@ -102,17 +102,17 @@ def _tally_range(args: tuple) -> tuple[int, int, int]:
     equal (neither solver runs)."""
     spec, m, lo, hi = args
     config = GeneratorConfig(spec.n, m, spec.q, spec.seed, spec.feasibility_policy)
-    screen = config.feasibility_policy is FeasibilityPolicy.KEEP_RAW
     step = _batch_size(spec.n, m, spec.p)
+    held: dict = {}  # subset layouts over the batch budget, for this chunk alone
     wins = losses = 0
     for start in range(lo, hi, step):
         sets = _draws(config, range(start, min(start + step, hi)))
-        if screen:
+        if config.feasibility_policy is FeasibilityPolicy.KEEP_RAW:
             sets = sets[:, _reach(sets)[1] == spec.n]
         if not sets.shape[1]:
             continue
-        big = _batch_cover_sizes(sets, spec.n, spec.p)
-        greedy = _batch_cover_sizes(sets, spec.n, 1)
+        big = _batch_cover_sizes(sets, spec.n, spec.p, held)
+        greedy = _batch_cover_sizes(sets, spec.n, 1, held)
         wins += int((big < greedy).sum())
         losses += int((big > greedy).sum())
     return wins, losses, hi - lo - wins - losses

@@ -22,14 +22,18 @@ missing with ``core._missing``.  A step computes the gain g of every set
 alone once and tries the finisher sizes first, each only where the
 subadditivity bound of Minoux's accelerated greedy (the r highest g sum to
 at least the uncovered count) lets an r-subset finish; only then is the
-full step scored.  A size-1 search takes the first maximum of g; a pair
-step of a wide p=2 solve is scored by ``_pruned_pair``, which skips the
-pairs that the same bound rules out; every other size by ``_best_subsets``.
-None masks the chosen sets, and all give the winners of plain enumeration.
-``_best_subsets`` lists the k-subsets in lexicographic slices, each unranked
-from its ranks by the combinatorial number system (Buckles and Lybanon,
-Algorithm 515; Knuth, TAOCP 4A 7.2.1.3), and cached whole where that fits
-the byte cap.
+full step scored.  Each search picks its scorer from its own size and
+shape, not from p: a size-1 search takes the first maximum of g; any pair
+search of a wide scalar solve, whole step or finisher, is scored by
+``_pruned_pair``, which skips the pairs that the same bound rules out; every
+other search by ``_best_subsets``.  None masks the chosen sets, and all give
+the winners of plain enumeration.  ``_best_subsets`` lists the k-subsets in
+lexicographic slices, each unranked from its ranks by the combinatorial
+number system (Buckles and Lybanon, Algorithm 515; Knuth, TAOCP 4A
+7.2.1.3).  A whole layout is built only where it fits the byte cap, and
+outlives its solve only where it also fits the batch budget: larger ones
+are held by the ``big_step_greedy`` call or campaign chunk that asked for
+them, and freed when it returns.
 """
 
 from __future__ import annotations
@@ -59,14 +63,15 @@ class OracleBudgetError(RuntimeError):
 
 # Bytes of one candidate slice of _pruned_pair or _best_subsets.
 _PAIR_SCAN_MAX_BYTES = 160_000_000
-# Bytes one _batch_cover_sizes call may use; sets the sub-batch size.
+# Bytes one _batch_cover_sizes call may use; sets the sub-batch size, and the
+# largest subset layout kept in the process cache _layout.
 _BATCH_MAX_BYTES = 1_000_000
-# The pair-words, C(m, 2) * words, from which every pair step of a p=2 solve
-# is scored by _pruned_pair rather than _best_subsets.  Whole p=2 solves,
-# pruned against every pair scored, at n=64 and 100 (q=0.05 and 0.3) and
-# n=1000 (q=0.3): at ~4k pair-words 0.49-1.51x the time, at ~8k 0.50-0.95x,
-# at ~16k 0.47-0.84x and at ~32k 0.37-0.57x; the gate keeps a margin over the
-# dense shapes at ~8k.
+# The pair-words, C(m, 2) * words, from which every pair search of a batch of
+# one, at any p, is scored by _pruned_pair rather than _best_subsets.  Whole
+# p=2 solves, pruned against every pair scored, at n=64 and 100 (q=0.05 and
+# 0.3) and n=1000 (q=0.3): at ~4k pair-words 0.49-1.51x the time, at ~8k
+# 0.50-0.95x, at ~16k 0.47-0.84x and at ~32k 0.37-0.57x; the gate keeps a
+# margin over the dense shapes at ~8k.
 _PRUNE_MIN_PAIR_WORDS = 2**14
 
 
@@ -106,11 +111,10 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
     fixed p.
     """
     check_int("step size p", p)
-    m = instance.m
     chosen: list[int] = []
     steps: list[SolveStep] = []
-    for _, winner, gain in _big_steps(instance._packed[:, None], instance.n, p):
-        u = m - len(chosen)
+    for _, winner, gain in _big_steps(instance._packed[:, None], instance.n, p, {}):
+        u = instance.m - len(chosen)
         step = tuple(winner[:, 0].tolist())
         chosen.extend(step)
         steps.append(SolveStep(step, gain.item(), math.comb(u, p if p < u else u)))
@@ -118,7 +122,7 @@ def big_step_greedy(instance: Instance, p: int) -> tuple[CoverSolution, SolveTra
 
 
 def _big_steps(
-    sets: np.ndarray, n: int, p: int
+    sets: np.ndarray, n: int, p: int, held: dict
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run big-step greedy at step size p over a batch of instances in lockstep.
 
@@ -139,10 +143,10 @@ def _big_steps(
     such subset and leaves.  The others then add their first best k-subset.
     A k-subset gains the whole remainder exactly when some subset of at most
     k sets does, so these are the winners of scoring the full step first
-    and then searching for a smaller finisher when it finishes.  At r=1 and
-    k=1 the first maximum of g wins.  A pair step of a batch of one, at p=2
-    and ``_PRUNE_MIN_PAIR_WORDS`` or more pair-words, is scored by
-    ``_pruned_pair``; every other size by ``_best_subsets``.
+    and then searching for a smaller finisher when it finishes.  ``_best``
+    picks each search's scorer (see there).  Layouts of subsets that
+    ``_best_subsets`` builds for this run, over the batch budget, go to
+    ``held``, a dict owned by the caller.
 
     The scorers take the subsets of all m sets, and chosen sets need no mask:
     they cover nothing uncovered, so a candidate holding some gains what its
@@ -152,13 +156,12 @@ def _big_steps(
     least size holds no chosen set either, or dropping one would leave a
     smaller finisher.
     """
-    words, batch, m = sets.shape
+    _, batch, m = sets.shape
     # the elements some set reaches: all n of them, with no padding bits, in
     # an instance that can be covered
     uncovered, left = _reach(sets)
     if (left < n).any():
         raise UncoverableError(_missing(sets[:, int((left < n).argmax())], n))
-    prune = batch == 1 and p == 2 and math.comb(m, 2) * words >= _PRUNE_MIN_PAIR_WORDS
     at = np.arange(batch)  # batch position of each running instance
     rows = np.arange(batch)
     u = m
@@ -174,7 +177,7 @@ def _big_steps(
                 sub = (bound[:, r - 1] >= left).nonzero()[0]
                 if not sub.size:
                     continue
-                gain, winner = _best(hit[:, sub], g[sub], r, prune, rows[: sub.size])
+                gain, winner = _best(hit[:, sub], g[sub], r, rows[: sub.size], held)
                 done = gain == left[sub]
                 if done.any():
                     yield at[sub[done]], winner[:, done], gain[done]
@@ -185,7 +188,7 @@ def _big_steps(
                     rows = rows[: at.size]
                     if not at.size:
                         return
-        gain, winner = _best(hit, g, k, prune, rows)
+        gain, winner = _best(hit, g, k, rows, held)
         yield at, winner, gain
         left -= gain
         if np.count_nonzero(left) < at.size:
@@ -199,18 +202,21 @@ def _big_steps(
 
 
 def _best(
-    hit: np.ndarray, g: np.ndarray, r: int, prune: bool, rows: np.ndarray
+    hit: np.ndarray, g: np.ndarray, r: int, rows: np.ndarray, held: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     # Gain and (r, N) indices of each instance's first best r-subset of its
     # (words, N, m) uncovered bits, g being each set's (N, m) gain alone and
-    # rows arange(N); prune scores pairs of a batch of one with _pruned_pair.
+    # rows arange(N).  A batch of one scores pairs with _pruned_pair from
+    # _PRUNE_MIN_PAIR_WORDS pair-words on, at any p: no set alone finishes
+    # there, as the size-1 search ran first or its bound ruled one out.
+    words, batch, m = hit.shape
     if r == 1:
         best = g.argmax(axis=1)
         return g[rows, best], best[None]
-    if r == 2 and prune:
+    if r == 2 and batch == 1 and math.comb(m, 2) * words >= _PRUNE_MIN_PAIR_WORDS:
         pair, gain = _pruned_pair(hit[:, 0], g[0])
         return np.array([gain], dtype=np.int32), np.array(pair)[:, None]
-    return _best_subsets(hit, r)
+    return _best_subsets(hit, r, held)
 
 
 def _pruned_pair(hit: np.ndarray, g: np.ndarray) -> tuple[tuple[int, int], int]:
@@ -221,18 +227,20 @@ def _pruned_pair(hit: np.ndarray, g: np.ndarray) -> tuple[tuple[int, int], int]:
     Coverage is subadditive, so a pair's gain is at most g_i + g_j, the gains
     of its two sets alone (the bound of Minoux's accelerated greedy).  The
     exact gain L of the two sets with the highest g, the first maximum and
-    the first maximum of the rest, is a lower bound on the step's best gain,
+    the first maximum of the rest, is a lower bound on the best pair's gain,
     so every best pair has g_i + g_j >= L, and both its sets have
     g >= L - max(g): the scan sorts those sets alone by descending g (stably),
     computes exact gains for their pairs with g_i + g_j >= L only, and the
-    highest, ties to the lexicographically smallest (i, j), is the step's
+    highest, ties to the lexicographically smallest (i, j), is the search's
     winner.  One ``searchsorted`` over the sorted g finds each set's
-    candidates, and their gains are gathered in slices that fit
+    candidates, and their gains are gathered in runs of whole rows that fit
     ``_PAIR_SCAN_MAX_BYTES``.  At n=1000, m=400, q=0.05 a step sorts 17 of
     the 400 sets and scores 44 of the ~75,000 unchosen pairs in the median.
-    Chosen sets need no mask, as ``_big_steps`` checks up front that the
-    instance can be covered: a chosen set gains 0, and the argument in its
-    docstring carries over.
+    It scores the pair steps of p=2 solves and the pair finisher searches of
+    p >= 3 solves alike; neither runs while one set alone can finish the
+    cover.  Chosen sets need no mask, as ``_big_steps`` checks up front that
+    the instance can be covered: a chosen set gains 0, and the argument in
+    its docstring carries over.
     """
     m = g.size
     top = int(g.argmax())
@@ -244,8 +252,8 @@ def _pruned_pair(hit: np.ndarray, g: np.ndarray) -> tuple[tuple[int, int], int]:
     # That pair stands unless a scored pair beats it.  Sets that gain 0,
     # chosen ones among them, join no scored pair: such a pair gains what its
     # other set does alone, which, the instance being coverable, some pair of
-    # gaining sets beats, as no set alone finishes the cover: the finisher
-    # search has ruled that out before the pair step.
+    # gaining sets beats, as no set alone finishes the cover: the size-1
+    # search, or its bound, has ruled that out before any pair search.
     order = (g >= max(1, gain - g[top])).nonzero()[0]
     neg = -g[order]
     sort = neg.argsort(kind="stable")
@@ -263,8 +271,9 @@ def _pruned_pair(hit: np.ndarray, g: np.ndarray) -> tuple[tuple[int, int], int]:
     # Slices of whole rows, each within the cap for its two gathers unless
     # one row alone is over it.
     width = max(1, _PAIR_SCAN_MAX_BYTES // (2 * _pair_bytes(hit.shape[0])))
-    for start, stop in _runs(ends, width):
-        done = int(ends[start - 1]) if start else 0
+    start = done = 0
+    while start < lead:
+        stop = max(start + 1, int(ends.searchsorted(done + width, side="right")))
         c = counts[start:stop]
         i = order[start:stop].repeat(c)
         j = order.take(np.arange(done, done + i.size) + shift[start:stop].repeat(c))
@@ -278,18 +287,8 @@ def _pruned_pair(hit: np.ndarray, g: np.ndarray) -> tuple[tuple[int, int], int]:
             first = int((np.minimum(i, j) * m + np.maximum(i, j)).min())
             if best > gain or first < key:
                 gain, key = best, first
+        start, done = stop, int(ends[stop - 1])
     return divmod(key, m), gain
-
-
-def _runs(ends: np.ndarray, width: int) -> Iterator[tuple[int, int]]:
-    # Runs [start, stop) of consecutive rows, ``ends`` being the running sum
-    # of their counts, each run within width in all or one row alone.
-    start = 0
-    while start < ends.size:
-        done = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + width, side="right")))
-        yield start, stop
-        start = stop
 
 
 def _batch_size(n: int, m: int, p: int) -> int:
@@ -302,25 +301,51 @@ def _batch_size(n: int, m: int, p: int) -> int:
     return max(1, _BATCH_MAX_BYTES // (candidates * _pair_bytes((n + 63) >> 6)))
 
 
-def _batch_cover_sizes(sets: np.ndarray, n: int, p: int) -> np.ndarray:
+def _batch_cover_sizes(sets: np.ndarray, n: int, p: int, held: dict) -> np.ndarray:
     """Cover sizes of ``big_step_greedy(instance, p)`` for a batch of instances,
-    from ``_big_steps`` over the (words, N, m) array ``sets``.  Raises
+    from ``_big_steps`` over the (words, N, m) array ``sets``, with the
+    layouts ``held`` by the caller (see ``_best_subsets``).  Raises
     ``UncoverableError`` for an instance its sets cannot cover."""
     sizes = np.zeros(sets.shape[1], dtype=np.int64)
-    for at, winner, _ in _big_steps(sets, n, p):
+    for at, winner, _ in _big_steps(sets, n, p, held):
         sizes[at] += len(winner)
     return sizes
 
 
-def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _best_subsets(hit: np.ndarray, k: int, held: dict) -> tuple[np.ndarray, np.ndarray]:
     # Gain and (k, N) indices of each instance's first best k-subset of its
-    # (words, N, m) uncovered bits, in slices whose temporaries fit the cap;
-    # a later slice wins only if larger.
+    # (words, N, m) uncovered bits, in lexicographic slices whose temporaries
+    # fit the cap; a later slice wins only if larger.  The whole layout is
+    # built only where it fits the cap.  One that also fits _BATCH_MAX_BYTES
+    # stays in the process cache _layout.  A larger one goes to held, which
+    # the caller owns and drops when its solve or campaign chunk returns; as
+    # each solve builds it again, it is copied block by block rather than
+    # unranked: block c is c and then the (k-1)-subsets of range(c+1, m), the
+    # last C(m-1-c, k-1) of those of range(1, m).  Other slices are unranked
+    # one by one.  Ranks are int64, so a step of more subsets than that cannot
+    # be listed.
     words, rows, m = hit.shape
+    total = math.comb(m, k)
+    if total > 2**63 - 1:
+        raise ValueError(
+            f"a step of k={k} of m={m} sets has C({m}, {k}) = {total} subsets,"
+            " more than the 2**63 - 1 that can be enumerated"
+        )
+    whole = None
+    if 8 * k * total <= min(_BATCH_MAX_BYTES, _PAIR_SCAN_MAX_BYTES):
+        whole = _layout(m, k)
+    elif 8 * k * total <= _PAIR_SCAN_MAX_BYTES and (whole := held.get((m, k))) is None:
+        tails = _unrank(m - 1, k - 1, 0, math.comb(m - 1, k - 1)) + 1
+        sizes = [math.comb(m - 1 - c, k - 1) for c in range(m - k + 1)]
+        whole = held[m, k] = np.empty((k, total), dtype=np.intp)
+        whole[0] = np.arange(m - k + 1).repeat(sizes)
+        np.concatenate([tails[:, tails.shape[1] - size :] for size in sizes], axis=1, out=whole[1:])
     gain = winner = None
     # each subset also holds its k index rows, and two more while unranked
     width = max(1, _PAIR_SCAN_MAX_BYTES // (rows * _pair_bytes(words) + 8 * k + 16))
-    for layout in _layouts(m, k, width):
+    for start in range(0, total, width):
+        stop = min(start + width, total)
+        layout = _unrank(m, k, start, stop) if whole is None else whole[:, start:stop]
         gains = np.zeros((rows, layout.shape[1]), dtype=np.int32)
         for w in range(words):
             union = hit[w][:, layout[0]]
@@ -337,26 +362,11 @@ def _best_subsets(hit: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return gain, winner
 
 
-def _layouts(m: int, k: int, width: int) -> Iterator[np.ndarray]:
-    # The k-subsets of range(m) in lexicographic slices of width: slices of
-    # the cached _layout(m, k) where it fits the cap, else each unranked alone.
-    # Ranks are int64, so a step of more subsets than that cannot be listed.
-    total = math.comb(m, k)
-    if total > 2**63 - 1:
-        raise ValueError(
-            f"a step of k={k} of m={m} sets has C({m}, {k}) = {total} subsets,"
-            " more than the 2**63 - 1 that can be enumerated"
-        )
-    cached = 8 * k * total <= _PAIR_SCAN_MAX_BYTES
-    for start in range(0, total, width):
-        stop = min(start + width, total)
-        yield _layout(m, k)[:, start:stop] if cached else _unrank(m, k, start, stop)
-
-
 @functools.lru_cache(maxsize=8)
 def _layout(m: int, k: int) -> np.ndarray:
     # The k-subsets of range(m) in lexicographic order as k contiguous index
-    # rows.  Read-only, as it is shared; the cache holds a row's k up to 8.
+    # rows.  Read-only, as it is shared; it is asked only for layouts within
+    # _BATCH_MAX_BYTES, so its 8 entries hold at most 8 MB.
     layout = _unrank(m, k, 0, math.comb(m, k))
     layout.flags.writeable = False
     return layout

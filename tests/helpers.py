@@ -128,6 +128,30 @@ def pack_masks(instances):
     )
 
 
+def ag_instance(k):
+    """Steiner triple covering on AG(k, 3) (Fulkerson, Nemhauser and Trotter
+    1974): the elements are the lines {a, b, c} of the affine space F_3^k,
+    a + b + c = 0, in lexicographic order of their sorted point indices, and
+    set i holds the lines through point i.  A cover meets every line, so it
+    is the complement of a cap set; the optimum is 5, 18 and 61 for k = 2, 3
+    and 4."""
+    points = list(itertools.product(range(3), repeat=k))
+    index = {point: i for i, point in enumerate(points)}
+    lines = []
+    for a, b in itertools.combinations(range(len(points)), 2):
+        c = index[tuple(-(x + y) % 3 for x, y in zip(points[a], points[b]))]
+        if b < c:
+            lines.append((a, b, c))
+    memberships = [[] for _ in points]
+    for e, line in enumerate(lines):
+        for point in line:
+            memberships[point].append(e)
+    return Instance.from_memberships(len(lines), memberships)
+
+
+AG_OPTIMUM = {2: 5, 3: 18, 4: 61}
+
+
 def to_instance(n, family):
     return Instance.from_memberships(n, (sorted(s) for s in family))
 

@@ -1,3 +1,5 @@
+import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -5,6 +7,10 @@ import pytest
 
 from scpkit import GeneratorConfig, generate_instance, serialize_instance
 from scpkit.cli import cli_main
+
+from helpers import ag_instance
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.fixture
@@ -226,6 +232,20 @@ def test_uncoverable_wide_universe_is_listed_in_linear_time(tmp_path):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "scpkit: error: uncoverable elements: 0, 1, 2, 3, 4, 6, 7, 8, ...\n"
+
+
+def test_steiner_triple_demo_file_gives_the_expected_trace(capsys, tmp_path):
+    """The demo's AG(k, 3) is the tests' instance, and the AG(4, 3) file it
+    writes solves at p=3 to the trace recorded beside it, which CI checks
+    through the CLI too."""
+    demo = runpy.run_path(str(DEMOS / "steiner_triples.py"))
+    for k in (2, 3, 4):
+        assert demo["ag_instance"](k) == ag_instance(k)
+    path = tmp_path / "ag4.scp"
+    path.write_text(serialize_instance(ag_instance(4)))
+    code, out, _ = run_cli(capsys, "solve", "--algo", "bigstep", "--p", "3", "--trace", "--input", str(path))
+    assert code == 0
+    assert out == (DEMOS / "steiner_triples_ag4_p3.expected").read_text()
 
 
 def test_module_entry_point(example1_file):

@@ -14,7 +14,7 @@ from scpkit import (
     validate_cover,
 )
 
-from helpers import brute_min_size, families, ref_exact, to_instance
+from helpers import AG_OPTIMUM, ag_instance, brute_min_size, families, ref_exact, to_instance
 
 
 def test_worked_example_minimum_is_two(example1):
@@ -65,6 +65,17 @@ def test_budget_counts_every_search_node(index, nodes, chosen):
     assert exact_min_cover(inst, budget_limit=nodes).chosen == chosen
     with pytest.raises(OracleBudgetError):
         exact_min_cover(inst, budget_limit=nodes - 1)
+
+
+def test_steiner_triple_optimum_and_budget():
+    """The oracle proves the optimum 5 of AG(2, 3); AG(3, 3), with 27 sets,
+    is past it: a 20,000-node budget runs out before 18 is proved."""
+    small = ag_instance(2)
+    cover = exact_min_cover(small)
+    assert cover.size == AG_OPTIMUM[2]
+    assert validate_cover(small, cover)
+    with pytest.raises(OracleBudgetError):
+        exact_min_cover(ag_instance(3), budget_limit=20_000)
 
 
 def test_budget_validation(example1):

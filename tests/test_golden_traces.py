@@ -2,7 +2,9 @@
 
 Each digest is the sha256 of covers, whole traces and ``UncoverableError``
 elements over a fixed set of generated instances, recorded before the
-solvers' scoring paths were last swapped.  A change to any scorer must keep
+solvers' scoring paths were last swapped; the Steiner triple digest, over
+the AG(k, 3) instances of ``helpers.ag_instance``, was recorded before pair
+steps of p >= 3 solves were pruned.  A change to any scorer must keep
 them byte-identical; a digest may only move with a deliberate change of the
 solvers' rules or of the generator.
 """
@@ -19,12 +21,15 @@ from scpkit import (
     is_feasible,
 )
 
+from helpers import ag_instance
+
 SMALL_DIGEST = "d570cc132958c879ea5f7066443ca938abacfaa5505109ce0eb3a37c5589653b"
 WIDE_DIGEST = "fd8caa7e89ccc9a4ed1e6e6add0bf05e9f79d9039156dfd9591b9830a4d73a02"
 UNCOVERABLE_DIGEST = "493472393a96b0418233bcf70293d42dc175df7e4266afe5f7208c7211a1b50d"
 CLASSICAL_DIGEST = "4e06a1b580cdb887228d9a6c674d8c5b68fa0f6d350ba87fe7b22207051fa732"
 FINISHER_DIGEST = "3d874ad9269e7f8d563a91c08c2cacf5bebab742c71353f46b8611cd0da8ae0f"
 EXACT_DIGEST = "b9304c2a89d6e2bac16c1d3c9dc44bf54f8ee5956d59d07f1d6f00b51dd0017d"
+AG_DIGEST = "b8b2a56d5f8ab7b8d00a96f701a34e755ee55f76c0415aa2320e3b2b272eee80"
 
 
 def _digest(lines):
@@ -93,6 +98,12 @@ def exact_lines():
     return lines
 
 
+def ag_lines():
+    # Steiner triple covering on AG(k, 3): every set holds as many lines, so
+    # each first step is a full tie
+    return [_solve_line(ag_instance(k), p) for k in (2, 3, 4) for p in (1, 2, 3)]
+
+
 def uncoverable_lines():
     # the first 20 uncoverable keep-raw draws, under every solver
     config = GeneratorConfig(n=40, m=12, q=0.15, seed=7, feasibility_policy="keep-raw")
@@ -135,3 +146,7 @@ def test_finishing_steps_match_their_digest():
 
 def test_exact_covers_match_their_digest():
     assert _digest(exact_lines()) == EXACT_DIGEST
+
+
+def test_steiner_triple_traces_match_their_digest():
+    assert _digest(ag_lines()) == AG_DIGEST

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -11,7 +12,15 @@ import scpkit.core
 import scpkit.solvers
 from scpkit import Instance, UncoverableError, big_step_greedy, classical_greedy, validate_cover
 
-from helpers import families, pack_masks, ref_bigstep, ref_greedy, to_instance
+from helpers import (
+    AG_OPTIMUM,
+    ag_instance,
+    families,
+    pack_masks,
+    ref_bigstep,
+    ref_greedy,
+    to_instance,
+)
 
 # Settings that force every p=2 pair step onto one scorer: the bound-pruned
 # scan, _pruned_pair, or every pair scored at once by _best_subsets
@@ -67,7 +76,7 @@ def _family(inst):
 
 def _kernel_sizes(instances, p):
     """Cover sizes from the batch kernel, all instances in one batch."""
-    return scpkit.solvers._batch_cover_sizes(pack_masks(instances), instances[0].n, p).tolist()
+    return scpkit.solvers._batch_cover_sizes(pack_masks(instances), instances[0].n, p, {}).tolist()
 
 
 def test_greedy_worked_example(example1):
@@ -483,6 +492,68 @@ def test_dense_instances_above_the_gate_prune_every_pair_step():
         assert _full_scan(inst) == _pruned_solve(inst)
 
 
+def test_pair_finishers_of_wide_p3_solves_are_pruned():
+    """At n=1000, m=70, q=0.1 a p=3 solve searches for pair finishers with
+    _pruned_pair, as a p=2 solve does, and its traces equal those with every
+    pair scored."""
+    from scpkit import GeneratorConfig, generate_instance
+
+    spy = mock.Mock(side_effect=scpkit.solvers._pruned_pair)
+    config = GeneratorConfig(1000, 70, 0.1, 11)
+    for index in range(6):
+        inst = generate_instance(config, index)
+        with mock.patch.object(scpkit.solvers, "_pruned_pair", spy):
+            pruned = big_step_greedy(inst, 3)
+        with _pair_path(UNPRUNED):
+            assert big_step_greedy(inst, 3) == pruned
+    assert spy.call_count >= 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_steiner_triple_covers_are_within_the_greedy_bound(k):
+    """AG(k, 3) at p = 1, 2 and 3: a valid cover within H(n) times the known
+    optimum.  Every set holds as many lines, so each first step is a full
+    tie; at k = 3 and 4 the pruned pair scan gives the traces of every pair
+    scored."""
+    inst = ag_instance(k)
+    bound = sum(1 / i for i in range(1, inst.n + 1)) * AG_OPTIMUM[k]
+    for p in (1, 2, 3):
+        cover, trace = big_step_greedy(inst, p)
+        assert validate_cover(inst, cover)
+        assert AG_OPTIMUM[k] <= cover.size <= bound
+        if k > 2 and p > 1:
+            with _pair_path(UNPRUNED):
+                assert big_step_greedy(inst, p) == (cover, trace)
+
+
+def _retained(run):
+    """Bytes that run() leaves allocated after it returns, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_layout_outlives_its_solve():
+    """A p=3 solve at n=64, m=200 builds the 31.5 MB layout of C(200, 3)
+    triples, and a one-row p=4 campaign at m=60 the 15.6 MB layout of
+    C(60, 4) 4-subsets: both are over the batch budget, so neither is left
+    allocated when the solve or the campaign returns.  Smaller layouts stay
+    in the process cache, so a first call at p-1 puts those in place."""
+    from scpkit import CampaignSpec, GeneratorConfig, generate_instance, run_campaign
+
+    mib = 2**20
+    inst = generate_instance(GeneratorConfig(64, 200, 0.1, 7), 0)
+    big_step_greedy(inst, 2)
+    assert _retained(lambda: big_step_greedy(inst, 3)) < mib
+    spec = CampaignSpec(n=100, q=0.3, m_values=(60,), p=3, count=1, seed=5)
+    run_campaign(spec)
+    assert _retained(lambda: run_campaign(dataclasses.replace(spec, p=4))) < mib
+
+
 def _all_ties_families():
     """Families whose pair bounds tie: identical sets, every set twice, and
     many disjoint sets of one size."""
@@ -544,46 +615,85 @@ def test_pair_scan_above_its_byte_cap_scores_pairs_in_slices():
     assert _groups(_full_scan(dense)[1]) == ref_bigstep(1000, _family(dense), 2)
 
 
+def _ranked_scan(hit, k, cap, budget=None, held=None):
+    """_best_subsets(hit, k, held) under byte cap cap (and batch budget
+    budget), with the layouts it holds for its caller and the rank ranges it
+    unranks."""
+    solvers = scpkit.solvers
+    original = solvers._unrank
+    held = {} if held is None else held
+    ranks = []
+
+    def spy(m, k, start, stop):
+        ranks.append((start, stop))
+        return original(m, k, start, stop)
+
+    solvers._layout.cache_clear()
+    budget = solvers._BATCH_MAX_BYTES if budget is None else budget
+    with mock.patch.multiple(solvers, _PAIR_SCAN_MAX_BYTES=cap, _BATCH_MAX_BYTES=budget, _unrank=spy):
+        gain, winner = solvers._best_subsets(hit, k, held)
+    solvers._layout.cache_clear()
+    return gain, winner, held, ranks
+
+
 def test_sliced_subset_scan_keeps_the_first_best_subset():
-    """The kernel's k-subset scan, whole, in slices of cached layouts and in
-    slices unranked one by one, returns each instance's first best subset in
-    lexicographic order; few bits per word make many ties."""
+    """The kernel's k-subset scan, whole, in slices of a whole layout (cached
+    or held for the caller) and in slices unranked one by one, returns each
+    instance's first best subset in lexicographic order; few bits per word
+    make many ties."""
     import itertools
 
     import numpy as np
 
+    from scpkit.solvers import _PAIR_SCAN_MAX_BYTES, _pair_bytes
+
     rng = np.random.default_rng(5)
     words, batch, m = 2, 8, 12
     hit = rng.integers(0, 2**5, size=(words, batch, m), dtype=np.uint64)
-    for k in (2, 3, 4):
+    for k in (2, 3, 4, 11, 12):
         combos = list(itertools.combinations(range(m), k))
+        total = len(combos)
         expected_gain, expected_winner = [], []
         for b in range(batch):
             gains = [sum(int(np.bitwise_or.reduce(hit[w, b, list(c)])).bit_count()
                          for w in range(words)) for c in combos]
             expected_gain.append(max(gains))
             expected_winner.append(combos[gains.index(max(gains))])
-        # whole; slices of 3-55 subsets from the cached layout; and slices of
-        # a layout one byte over the cap, and at 100 and 0 bytes, unranked
-        layout_bytes = 8 * k * len(combos)
-        for cap in (scpkit.solvers._PAIR_SCAN_MAX_BYTES, layout_bytes, layout_bytes - 1, 100, 0):
-            width = max(1, cap // 100)
-            with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
-                gain, winner = scpkit.solvers._best_subsets(hit, k)
-                slices = list(scpkit.solvers._layouts(m, k, width))
+        # whole, from the process cache and held for the caller; slices of
+        # 1-36 subsets from the cached layout; and slices of a layout one
+        # byte over the cap, and at 100 and 0 bytes, unranked; k up to m
+        layout_bytes = 8 * k * total
+        cases = [(_PAIR_SCAN_MAX_BYTES, None), (_PAIR_SCAN_MAX_BYTES, 0), (layout_bytes, None),
+                 (layout_bytes - 1, None), (100, None), (0, None)]
+        for cap, budget in cases:
+            gain, winner, held, ranks = _ranked_scan(hit, k, cap, budget)
             assert gain.tolist() == expected_gain
             assert [tuple(w) for w in winner.T.tolist()] == expected_winner
-            assert [tuple(c) for c in np.hstack(slices).T.tolist()] == combos
-            assert all(0 < layout.shape[1] <= width for layout in slices)
+            if layout_bytes <= cap and budget == 0:
+                # held for the caller over the budget, built from the unranked
+                # (k-1)-subsets of m-1 sets, and reused by the caller's next step
+                assert ranks == [(0, math.comb(m - 1, k - 1))]
+                assert list(held) == [(m, k)]
+                assert [tuple(c) for c in held[m, k].T.tolist()] == combos
+                assert _ranked_scan(hit, k, cap, budget, held)[3] == []
+            elif layout_bytes <= cap:
+                # unranked whole once, into the process cache
+                assert ranks == [(0, total)]
+                assert not held
+            else:
+                width = max(1, cap // (batch * _pair_bytes(words) + 8 * k + 16))
+                assert ranks == [(s, min(s + width, total)) for s in range(0, total, width)]
+                assert not held
     # A layout over the cap, unranked in slices of exactly the width but the
-    # last
-    m, k, width = 20, 3, 100
-    with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", 10_000):
-        assert 8 * k * math.comb(m, k) > 10_000
-        slices = list(scpkit.solvers._layouts(m, k, width))
-    assert [tuple(c) for c in np.hstack(slices).T.tolist()] == list(itertools.combinations(range(m), k))
-    assert all(0 < layout.shape[1] <= width for layout in slices)
-    assert len(slices) == -(-math.comb(m, k) // width)
+    # last: 100 subsets of one instance of one word per slice
+    m, k = 20, 3
+    hit = rng.integers(0, 2**5, size=(1, 1, m), dtype=np.uint64)
+    cap = 100 * (_pair_bytes(1) + 8 * k + 16)
+    assert 8 * k * math.comb(m, k) > cap
+    _, _, held, ranks = _ranked_scan(hit, k, cap)
+    assert ranks == [(s, min(s + 100, math.comb(m, k))) for s in range(0, math.comb(m, k), 100)]
+    assert len(ranks) == -(-math.comb(m, k) // 100)
+    assert not held
 
 
 def test_unranked_slices_are_the_lexicographic_subsets():
@@ -622,12 +732,13 @@ def test_layouts_of_more_than_half_the_sets_are_unranked_directly():
             subsets = [tuple(c) for c in original(m, k).T.tolist()]
             assert subsets == list(itertools.combinations(range(m), k))
 
-    def spy(m, k):
-        assert k <= need, f"_layout({m}, {k})"
-        return original(m, k)
+    scored = scpkit.solvers._best_subsets
 
-    original.cache_clear()
-    with mock.patch.object(scpkit.solvers, "_layout", spy):
+    def spy(hit, k, held):
+        assert k <= need, f"_best_subsets(m={hit.shape[2]}, k={k})"
+        return scored(hit, k, held)
+
+    with mock.patch.object(scpkit.solvers, "_best_subsets", spy):
         for seed in range(5):
             inst = generate_instance(GeneratorConfig(n=10, m=30, q=0.3, seed=seed), 0)
             for p in (27, 28, 29, 30, 32):
@@ -647,13 +758,13 @@ def test_finisher_sizes_come_before_the_full_step():
     from scpkit import GeneratorConfig, generate_instance
 
     inst = generate_instance(GeneratorConfig(20, 70, 0.3, 1), 0)
-    original = scpkit.solvers._layouts
+    original = scpkit.solvers._best_subsets
 
-    def spy(m, k, width):
-        assert k <= 3, f"_layouts({m}, {k})"
-        return original(m, k, width)
+    def spy(hit, k, held):
+        assert k <= 3, f"_best_subsets(m={hit.shape[2]}, k={k})"
+        return original(hit, k, held)
 
-    with mock.patch.object(scpkit.solvers, "_layouts", spy):
+    with mock.patch.object(scpkit.solvers, "_best_subsets", spy):
         for p in (4, 12, 35):
             cover, trace = big_step_greedy(inst, p)
             assert trace.steps == (scpkit.core.SolveStep((11, 47, 55), 20, math.comb(70, p)),)
@@ -678,7 +789,7 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
         scpkit.solvers._layout.cache_clear()  # its index rows count too
         tracemalloc.start()
         try:
-            scpkit.solvers._best_subsets(hit[:, None], 2)
+            scpkit.solvers._best_subsets(hit[:, None], 2, {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -688,7 +799,7 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
         sets = pack_masks([generate_instance(config, i) for i in range(_batch_size(n, m, 2))])
         tracemalloc.start()
         try:
-            _batch_cover_sizes(sets, n, 2)
+            _batch_cover_sizes(sets, n, 2, {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -706,7 +817,7 @@ def test_pair_scan_and_batch_kernel_peaks_stay_within_their_byte_figures():
         with mock.patch.object(scpkit.solvers, "_PAIR_SCAN_MAX_BYTES", cap):
             tracemalloc.start()
             try:
-                sizes = _batch_cover_sizes(sets, 100, p)
+                sizes = _batch_cover_sizes(sets, 100, p, {})
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
